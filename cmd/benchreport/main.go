@@ -14,8 +14,14 @@
 //	benchreport -check run.json   # validate a subx/tables -report file
 //	benchreport -diff -tol 0.15 old.json new.json   # perf-regression gate
 //
+// Between the extraction and apply rows sit the hot-path layer rows: DCT2D
+// (one 2-D DCT-II of the panel grid), BemSolve (one black-box solve, with
+// its CG iterations) and the derived BemCGIter (seconds per CG iteration),
+// the first two with allocs/op.
+//
 // -short shrinks the case to 64 contacts so CI can exercise regeneration
-// cheaply; the committed file is produced by a full (non-short) run.
+// cheaply; BENCH_extract.json is produced by a full (non-short) run and
+// BENCH_extract_short.json by `-short -reps 1`.
 //
 // -scaling runs the paper-scale ladder instead (see scaling.go): both
 // methods over regular/alternating grids up to -max contacts (default 4096;
@@ -27,10 +33,14 @@
 // -diff compares two benchmark files and exits nonzero on regression; it
 // dispatches on the files' schema field, so it gates BENCH_extract.json and
 // BENCH_scaling.json with the same flag. For extract files a regression is a
-// shared configuration slower than old × (1+tol), a solve-count change, or a
-// configuration that disappeared — gated only when the files describe the
-// same case; different cases (e.g. the committed full run vs a -short CI
-// run) compare informationally. For scaling files the deterministic columns
+// change in a deterministic column of a shared configuration (solves, CG
+// iterations per solve, allocs/op rising), a configuration that
+// disappeared, or — between full-size files only — a configuration slower
+// than old × (1+tol). All of it is gated only when the files describe the
+// same case; different cases (e.g. the full run vs a -short run) compare
+// informationally. -short files are CI smoke runs on unknown hardware, so
+// their timings are printed but never gated; BENCH_extract_short.json is
+// the committed same-case baseline CI diffs its -short run against. For scaling files the deterministic columns
 // gate across machines: shared (family, method, n) points must match solves
 // and nnz exactly, points within the new run's -max must not disappear, and
 // fitted solves/nnz exponents may not drift more than tol when both sides
@@ -88,6 +98,12 @@ type benchRow struct {
 	// and production observability measure with one instrument.
 	P50Seconds float64 `json:"p50_seconds,omitempty"`
 	P99Seconds float64 `json:"p99_seconds,omitempty"`
+	// AllocsPerOp is the steady-state heap allocation count of one op
+	// (DCT2D and BemSolve rows). Deterministic, so gated: it may not rise.
+	AllocsPerOp *float64 `json:"allocs_per_op,omitempty"`
+	// CGIters is the mean CG iterations per solve (BemSolve row).
+	// Deterministic, so gated exactly like Solves.
+	CGIters float64 `json:"cg_iters,omitempty"`
 }
 
 // benchFile is the whole BENCH_extract.json document.
@@ -252,19 +268,23 @@ func diffFiles(w io.Writer, oldPath, newPath string, tol float64) error {
 
 // diffBench compares configurations shared by name and returns the list of
 // regressions. A configuration regresses when its best-of time exceeds
-// old × (1+tol), when its solve count changes at all (solve counts are
-// deterministic, so any drift is an algorithm change, not noise), or when a
-// baseline configuration disappears from the new file — a vanished row is
-// the quietest way to lose a gate, so it fails loudly. All checks require
-// the two files to describe the same case — when they differ (e.g. the
-// committed full-size file against a -short CI run) every comparison is
-// informational only, so the gate can be wired into CI before the committed
-// file is regenerated.
+// old × (1+tol) (full-size files only), when its solve count or CG
+// iterations per solve change at all, or its allocs/op rise (these columns
+// are deterministic, so any drift is an algorithm change, not noise), or
+// when a baseline configuration disappears from the new file — a vanished
+// row is the quietest way to lose a gate, so it fails loudly. All checks
+// require the two files to describe the same case — when they differ (e.g.
+// the committed full-size file against a -short CI run) every comparison is
+// informational only.
 func diffBench(w io.Writer, oldDoc, newDoc *benchFile, tol float64) []string {
 	sameCase := oldDoc.Case == newDoc.Case && oldDoc.Contacts == newDoc.Contacts
 	if !sameCase {
 		fmt.Fprintf(w, "cases differ (%s/%d vs %s/%d contacts): informational comparison only\n",
 			oldDoc.Case, oldDoc.Contacts, newDoc.Case, newDoc.Contacts)
+	}
+	gateTiming := sameCase && !oldDoc.Short && !newDoc.Short
+	if sameCase && !gateTiming {
+		fmt.Fprintf(w, "short run: timings advisory, deterministic columns gated\n")
 	}
 	oldRows := make(map[string]benchRow, len(oldDoc.Benchmarks))
 	for _, r := range oldDoc.Benchmarks {
@@ -283,7 +303,7 @@ func diffBench(w io.Writer, oldDoc, newDoc *benchFile, tol float64) []string {
 		}
 		status := "ok"
 		if sameCase {
-			if nr.SecondsPerOp > or.SecondsPerOp*(1+tol) {
+			if gateTiming && nr.SecondsPerOp > or.SecondsPerOp*(1+tol) {
 				status = "REGRESSION"
 				regressions = append(regressions,
 					fmt.Sprintf("%s: %.3fs/op -> %.3fs/op (%.2fx, tol %.0f%%)",
@@ -294,12 +314,29 @@ func diffBench(w io.Writer, oldDoc, newDoc *benchFile, tol float64) []string {
 				regressions = append(regressions,
 					fmt.Sprintf("%s: solve count %d -> %d", nr.Name, or.Solves, nr.Solves))
 			}
+			if nr.CGIters != or.CGIters {
+				status = "REGRESSION"
+				regressions = append(regressions,
+					fmt.Sprintf("%s: CG iterations per solve %g -> %g", nr.Name, or.CGIters, nr.CGIters))
+			}
+			if nr.AllocsPerOp != nil && or.AllocsPerOp != nil && *nr.AllocsPerOp > *or.AllocsPerOp {
+				status = "REGRESSION"
+				regressions = append(regressions,
+					fmt.Sprintf("%s: allocs/op %g -> %g", nr.Name, *or.AllocsPerOp, *nr.AllocsPerOp))
+			}
 		} else if nr.Solves != or.Solves {
 			fmt.Fprintf(w, "%-16s solve count %d -> %d (different case, not gated)\n",
 				nr.Name, or.Solves, nr.Solves)
 		}
-		fmt.Fprintf(w, "%-16s %8.3fs/op -> %8.3fs/op  (%.2fx)  solves %d -> %d  %s\n",
-			nr.Name, or.SecondsPerOp, nr.SecondsPerOp, ratio, or.Solves, nr.Solves, status)
+		var extra string
+		if or.CGIters != 0 || nr.CGIters != 0 {
+			extra += fmt.Sprintf("  cg_iters %g -> %g", or.CGIters, nr.CGIters)
+		}
+		if or.AllocsPerOp != nil && nr.AllocsPerOp != nil {
+			extra += fmt.Sprintf("  allocs/op %g -> %g", *or.AllocsPerOp, *nr.AllocsPerOp)
+		}
+		fmt.Fprintf(w, "%-16s %8.3gs/op -> %8.3gs/op  (%.2fx)  solves %d -> %d%s  %s\n",
+			nr.Name, or.SecondsPerOp, nr.SecondsPerOp, ratio, or.Solves, nr.Solves, extra, status)
 	}
 	newNames := make(map[string]bool, len(newDoc.Benchmarks))
 	for _, nr := range newDoc.Benchmarks {
@@ -353,6 +390,13 @@ func run(out string, short bool, reps int) error {
 		}
 		row.Name = cfg.name
 		log.Printf("%-16s %8.3fs/op (best of %d), %d solves", row.Name, row.SecondsPerOp, reps, row.Solves)
+		rows = append(rows, row)
+	}
+
+	// The extraction hot path, layer by layer: 2-D DCT, one solve, one CG
+	// iteration.
+	for _, row := range timeSolveLayers(s, c.NP, reps) {
+		log.Printf("%-16s %8.3gs/op (best of %d), %d solves", row.Name, row.SecondsPerOp, reps, row.Solves)
 		rows = append(rows, row)
 	}
 
@@ -497,20 +541,8 @@ func timeApply(res *core.Result, reps int) ([]benchRow, error) {
 		return nil, err
 	}
 
-	const iters = 100
 	sample := func(op func()) float64 {
-		op() // warm scratch so steady state is what gets timed
-		best := 0.0
-		for r := 0; r < reps; r++ {
-			start := time.Now()
-			for i := 0; i < iters; i++ {
-				op()
-			}
-			d := time.Since(start).Seconds() / iters
-			if r == 0 || d < best {
-				best = d
-			}
-		}
+		best, _ := sampleOp(reps, 100, op)
 		return best
 	}
 	single := sample(func() { eng.ApplyInto(out, x) })

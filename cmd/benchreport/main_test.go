@@ -117,3 +117,60 @@ func TestCommittedBenchFileLoads(t *testing.T) {
 		t.Fatalf("baseline regresses against itself: %v", regs)
 	}
 }
+
+// TestDiffShortGatesDeterministicColumnsOnly: between two -short files (CI
+// against the committed short baseline, different machines) a slowdown
+// only warns, while CG-iteration drift and rising allocs/op fail.
+func TestDiffShortGatesDeterministicColumnsOnly(t *testing.T) {
+	short := func(seconds, iters, allocs float64) *benchFile {
+		d := benchDoc("3-alternating-short", 64, seconds, 40)
+		d.Short = true
+		d.Benchmarks = append(d.Benchmarks, benchRow{Name: "BemSolve", Method: "bem", Workers: 1, Reps: 1,
+			SecondsPerOp: seconds / 100, Solves: 1, CGIters: iters, AllocsPerOp: &allocs})
+		return d
+	}
+	var out bytes.Buffer
+	if regs := diffBench(&out, short(1, 15, 1), short(3, 15, 1), 0.15); len(regs) != 0 {
+		t.Fatalf("3x slower short run flagged: %v\n%s", regs, out.String())
+	}
+	if !strings.Contains(out.String(), "timings advisory") {
+		t.Fatalf("short comparison not labeled timing-advisory:\n%s", out.String())
+	}
+	if regs := diffBench(&out, short(1, 15, 1), short(1, 15.5, 1), 0.15); len(regs) != 1 {
+		t.Fatalf("CG iteration drift produced %d regressions: %v", len(regs), regs)
+	}
+	if regs := diffBench(&out, short(1, 15, 1), short(1, 15, 2), 0.15); len(regs) != 1 {
+		t.Fatalf("allocs/op rise produced %d regressions: %v", len(regs), regs)
+	}
+	if regs := diffBench(&out, short(1, 15, 1), short(1, 15, 0), 0.15); len(regs) != 0 {
+		t.Fatalf("allocs/op drop flagged: %v", regs)
+	}
+}
+
+// TestCommittedShortBaselineLoads keeps the committed same-case baseline for
+// CI's -short run loadable, short, and carrying the hot-path layer rows.
+func TestCommittedShortBaselineLoads(t *testing.T) {
+	doc, err := loadBench("../../BENCH_extract_short.json")
+	if err != nil {
+		t.Fatalf("committed BENCH_extract_short.json: %v", err)
+	}
+	if !doc.Short {
+		t.Fatalf("BENCH_extract_short.json is not a -short run")
+	}
+	rows := map[string]benchRow{}
+	for _, r := range doc.Benchmarks {
+		rows[r.Name] = r
+	}
+	for _, name := range []string{"ExtractSerial", "DCT2D", "BemSolve", "BemCGIter"} {
+		if _, ok := rows[name]; !ok {
+			t.Fatalf("short baseline lacks the %s row", name)
+		}
+	}
+	if r := rows["BemSolve"]; r.CGIters == 0 || r.AllocsPerOp == nil {
+		t.Fatalf("BemSolve row lacks its deterministic columns: %+v", r)
+	}
+	var out bytes.Buffer
+	if regs := diffBench(&out, doc, doc, 0.15); len(regs) != 0 {
+		t.Fatalf("short baseline regresses against itself: %v", regs)
+	}
+}

@@ -39,6 +39,13 @@ type Solver struct {
 	// across (<= 0 selects runtime.NumCPU()).
 	Workers int
 
+	// The operator's transforms skip what the contact panels make moot:
+	// forward row transforms of rows without a contact panel (all zero)
+	// and inverse column transforms of columns without one (never read).
+	fwdMask, invMask dct.Mask
+	// work holds the per-solve CG/PCG vectors for reuse across solves.
+	work par.FreeList[*workspace]
+
 	// §2.3.1 fast-solver preconditioner state (a reproduced negative
 	// result; see precond.go).
 	usePrecond bool
@@ -80,13 +87,32 @@ func New(prof *substrate.Profile, layout *geom.Layout, np int) (*Solver, error) 
 		Tol:    1e-9,
 		MaxIts: 2000,
 	}
+	rows, cols := make([]bool, np), make([]bool, np)
 	for ci, ps := range pan.ContactPanels {
 		for _, p := range ps {
 			s.panels = append(s.panels, p)
 			s.owner = append(s.owner, ci)
+			rows[p/np], cols[p%np] = true, true
+		}
+	}
+	s.fwdMask.Rows, s.invMask.Cols = rows, cols
+	m := len(s.panels)
+	s.work.New = func() *workspace {
+		return &workspace{
+			field: make([]float64, np*np),
+			b:     make([]float64, m), q: make([]float64, m),
+			r: make([]float64, m), p: make([]float64, m),
+			ap: make([]float64, m), z: make([]float64, m),
 		}
 	}
 	return s, nil
+}
+
+// workspace is one solve's working storage: the panel field the operator
+// transforms in place, and the contact-panel CG/PCG vectors.
+type workspace struct {
+	field             []float64
+	b, q, r, p, ap, z []float64
 }
 
 // N implements solver.Solver.
@@ -99,26 +125,35 @@ func (s *Solver) NumPanels() int { return len(s.panels) }
 // ApplyPanelOperator applies the full-surface current-to-potential operator
 // to a panel field (length np*np, row-major), in place.
 func (s *Solver) ApplyPanelOperator(field []float64) {
-	dct.DCT2D2(field, s.np, s.np)
-	for i, l := range s.lam {
-		field[i] *= l
-	}
-	dct.DCT2D3(field, s.np, s.np)
+	s.transform(field, s.lam, nil, nil)
 }
 
-// applyAcc computes y = A_cc·q on the contact panels.
-func (s *Solver) applyAcc(q, y, field []float64) {
-	for i := range field {
-		field[i] = 0
+// transform runs the Fig 2-6 pipeline on a panel field in place: 2-D DCT-II,
+// per-mode scaling, 2-D DCT-III, each DCT restricted by its mask.
+func (s *Solver) transform(field, scale []float64, fwd, inv *dct.Mask) {
+	dct.Masked2D(field, s.np, s.np, dct.II, fwd)
+	for i, l := range scale {
+		field[i] *= l
 	}
+	dct.Masked2D(field, s.np, s.np, dct.III, inv)
+}
+
+// restricted computes y = M·x on the contact panels, where M zero-pads x
+// onto the surface, transforms with the per-mode scale, and restricts
+// back. With scale = lam this is A_cc.
+func (s *Solver) restricted(x, y, field, scale []float64) {
+	clear(field)
 	for i, p := range s.panels {
-		field[p] = q[i]
+		field[p] = x[i]
 	}
-	s.ApplyPanelOperator(field)
+	s.transform(field, scale, &s.fwdMask, &s.invMask)
 	for i, p := range s.panels {
 		y[i] = field[p]
 	}
 }
+
+// applyAcc computes y = A_cc·q on the contact panels.
+func (s *Solver) applyAcc(q, y, field []float64) { s.restricted(q, y, field, s.lam) }
 
 // Solve implements solver.Solver: contact voltages in, contact currents out.
 func (s *Solver) Solve(v []float64) ([]float64, error) {
@@ -140,31 +175,33 @@ func (s *Solver) solveOn(parent *obs.Span, track int, v []float64) ([]float64, e
 	} else {
 		sp = s.tr.BeginOn(track, "bem/solve")
 	}
-	m := len(s.panels)
-	b := make([]float64, m)
+	w := s.work.Get()
+	defer s.work.Put(w)
 	for i := range s.panels {
-		b[i] = v[s.owner[i]]
+		w.b[i] = v[s.owner[i]]
 	}
-	q := make([]float64, m)
+	clear(w.q)
 	var iters int
 	var rel float64
 	var err error
 	if s.usePrecond {
-		iters, rel, err = s.pcg(q, b)
+		iters, rel, err = s.pcg(w)
 	} else {
-		iters, rel, err = s.cg(q, b)
+		iters, rel, err = s.cg(w)
 	}
 	s.solves.Add(1)
 	s.totalIters.Add(int64(iters))
 	s.rec.Observe("bem/cg_iters", float64(iters))
 	s.rec.Residual("bem/cg_final_rel", rel)
-	sp.Arg("cg_iters", iters).Arg("final_rel", rel).End()
+	if sp != nil { // boxing the args allocates even when tracing is off
+		sp.Arg("cg_iters", iters).Arg("final_rel", rel).End()
+	}
 	if err != nil {
 		return nil, err
 	}
 	out := make([]float64, n)
-	for i := range s.panels {
-		out[s.owner[i]] += q[i]
+	for i, qi := range w.q {
+		out[s.owner[i]] += qi
 	}
 	return out, nil
 }
@@ -182,8 +219,8 @@ func (s *Solver) SetRecorder(rec *obs.Recorder) { s.rec = rec }
 func (s *Solver) SetTracer(tr *obs.Tracer) { s.tr = tr }
 
 // SolveBatch implements solver.BatchSolver: independent right-hand sides
-// run as concurrent CG solves on the worker pool. Every solve allocates its
-// own iteration buffers and writes only its output slot, so the batch is
+// run as concurrent CG solves on the worker pool. Every solve checks out its
+// own workspace and writes only its output slot, so the batch is
 // bitwise-identical to sequential Solve calls.
 func (s *Solver) SolveBatch(vs [][]float64) ([][]float64, error) {
 	sp := s.tr.Begin("bem/batch").Arg("batch_size", len(vs))
@@ -200,16 +237,13 @@ func (s *Solver) SolveBatch(vs [][]float64) ([][]float64, error) {
 	return out, nil
 }
 
-// cg solves A_cc·q = b by plain conjugate gradients, returning the iteration
-// count and the final relative residual ‖r‖/‖b‖ (read-only health signal).
-func (s *Solver) cg(q, b []float64) (int, float64, error) {
-	m := len(b)
-	field := make([]float64, s.np*s.np)
-	r := make([]float64, m)
+// cg solves A_cc·q = b (w.q zero on entry) by plain conjugate gradients,
+// returning the iteration count and the final relative residual ‖r‖/‖b‖
+// (read-only health signal).
+func (s *Solver) cg(w *workspace) (int, float64, error) {
+	q, b, r, p, ap, field := w.q, w.b, w.r, w.p, w.ap, w.field
 	copy(r, b)
-	p := make([]float64, m)
 	copy(p, b)
-	ap := make([]float64, m)
 	bnorm := la.Norm2(b)
 	if bnorm == 0 {
 		return 0, 0, nil

@@ -3,7 +3,6 @@ package bem
 import (
 	"math"
 
-	"subcouple/internal/dct"
 	"subcouple/internal/la"
 )
 
@@ -23,51 +22,39 @@ import (
 
 // UseFastSolverPrecond toggles the §2.3.1 preconditioner; when enabled,
 // Solve runs preconditioned CG with it.
+//
+// The preconditioner divides by the mode scaling. The DCT round trip
+// contributes a factor (np/2)² that must be divided out twice (once per
+// pass), i.e. a total scale of (2/np)⁴ relative to the raw pipeline; it is
+// folded into invLam here, once, as the product il·scale that each
+// application would otherwise recompute (so the bits are the same).
 func (s *Solver) UseFastSolverPrecond(on bool) {
 	s.usePrecond = on
 	if on && s.invLam == nil {
+		scale := math.Pow(2/float64(s.np), 4)
 		s.invLam = make([]float64, len(s.lam))
 		for i, l := range s.lam {
+			var il float64
 			if l > 0 {
-				s.invLam[i] = 1 / l
+				il = 1 / l
 			}
+			s.invLam[i] = il * scale
 		}
 	}
 }
 
 // applyPrecond computes z = M⁻¹·r: zero-pad, DCT, divide by the mode
-// scaling, inverse DCT, restrict. The DCT round trip contributes a factor
-// (np/2)² that must be divided out twice (once per pass), i.e. a total
-// scale of (2/np)⁴ relative to the raw pipeline.
-func (s *Solver) applyPrecond(r, z, field []float64) {
-	for i := range field {
-		field[i] = 0
-	}
-	for i, p := range s.panels {
-		field[p] = r[i]
-	}
-	dct.DCT2D2(field, s.np, s.np)
-	scale := math.Pow(2/float64(s.np), 4)
-	for i, il := range s.invLam {
-		field[i] *= il * scale
-	}
-	dct.DCT2D3(field, s.np, s.np)
-	for i, p := range s.panels {
-		z[i] = field[p]
-	}
-}
+// scaling, inverse DCT, restrict.
+func (s *Solver) applyPrecond(r, z, field []float64) { s.restricted(r, z, field, s.invLam) }
 
 // pcg is the preconditioned variant of cg, used when the (deliberately
 // unpromising) §2.3.1 preconditioner is enabled. Like cg it also returns the
 // final relative residual ‖r‖/‖b‖.
-func (s *Solver) pcg(q, b []float64) (int, float64, error) {
-	m := len(b)
-	field := make([]float64, s.np*s.np)
-	r := append([]float64(nil), b...)
-	z := make([]float64, m)
+func (s *Solver) pcg(w *workspace) (int, float64, error) {
+	q, b, r, z, p, ap, field := w.q, w.b, w.r, w.z, w.p, w.ap, w.field
+	copy(r, b)
 	s.applyPrecond(r, z, field)
-	p := append([]float64(nil), z...)
-	ap := make([]float64, m)
+	copy(p, z)
 	bnorm := la.Norm2(b)
 	if bnorm == 0 {
 		return 0, 0, nil

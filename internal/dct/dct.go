@@ -10,64 +10,45 @@ import "math"
 // With these conventions DCT3(DCT2(x)) = (N/2)·x, which the callers fold
 // into their eigenvalue scaling.
 
-// DCT2 returns the DCT-II of x. Power-of-two lengths use an FFT; other
-// lengths fall back to the direct O(N²) evaluation.
-func DCT2(x []float64) []float64 {
-	n := len(x)
-	if n == 0 {
+// DCT2 returns the DCT-II of x. Power-of-two lengths use the length's FFT
+// plan; other lengths fall back to the direct O(N²) evaluation.
+func DCT2(x []float64) []float64 { return transform1D(x, II) }
+
+// DCT3 returns the DCT-III of x (see package conventions).
+func DCT3(x []float64) []float64 { return transform1D(x, III) }
+
+// Kind selects the 1-D transform a 2-D pass applies.
+type Kind int
+
+const (
+	II  Kind = iota // DCT-II
+	III             // DCT-III
+)
+
+func transform1D(x []float64, k Kind) []float64 {
+	if len(x) == 0 {
 		return nil
 	}
-	if n == 1 {
-		return []float64{x[0]}
-	}
-	if !IsPow2(n) {
-		return dct2Direct(x)
-	}
-	// Makhoul's reordering: v_n = x_{2n}, v_{N-1-n} = x_{2n+1}.
-	v := make([]complex128, n)
-	for i := 0; i < n/2; i++ {
-		v[i] = complex(x[2*i], 0)
-		v[n-1-i] = complex(x[2*i+1], 0)
-	}
-	FFT(v)
-	out := make([]float64, n)
-	for k := 0; k < n; k++ {
-		theta := math.Pi * float64(k) / float64(2*n)
-		out[k] = real(v[k])*math.Cos(theta) + imag(v[k])*math.Sin(theta)
-	}
+	out := append([]float64(nil), x...)
+	p, sc := getScratch(len(x))
+	p.apply(out, k, sc.v)
+	p.putScratch(sc)
 	return out
 }
 
-// DCT3 returns the DCT-III of x (see package conventions).
-func DCT3(x []float64) []float64 {
-	n := len(x)
-	if n == 0 {
-		return nil
+// apply overwrites x with its transform of kind k, v being the FFT buffer.
+// A nil plan (a non-power-of-two length) evaluates the direct sums.
+func (p *plan) apply(x []float64, k Kind, v []complex128) {
+	switch {
+	case p == nil && k == II:
+		copy(x, dct2Direct(x))
+	case p == nil:
+		copy(x, dct3Direct(x))
+	case k == II:
+		p.dct2(x, v)
+	default:
+		p.dct3(x, v)
 	}
-	if n == 1 {
-		return []float64{x[0] / 2}
-	}
-	if !IsPow2(n) {
-		return dct3Direct(x)
-	}
-	// Invert the DCT-II FFT path: V_k = e^{iθ_k}(X_k − i·X_{N−k}), V_0 = X_0,
-	// v = IFFT(V), un-reorder, and scale by N/2 to match the DCT-III
-	// convention (the FFT path computes the exact inverse of DCT2).
-	v := make([]complex128, n)
-	v[0] = complex(x[0], 0)
-	for k := 1; k < n; k++ {
-		theta := math.Pi * float64(k) / float64(2*n)
-		e := complex(math.Cos(theta), math.Sin(theta))
-		v[k] = e * complex(x[k], -x[n-k])
-	}
-	IFFT(v)
-	out := make([]float64, n)
-	half := float64(n) / 2
-	for i := 0; i < n/2; i++ {
-		out[2*i] = real(v[i]) * half
-		out[2*i+1] = real(v[n-1-i]) * half
-	}
-	return out
 }
 
 func dct2Direct(x []float64) []float64 {
@@ -98,30 +79,77 @@ func dct3Direct(x []float64) []float64 {
 
 // DCT2D2 applies DCT-II along both dimensions of an nx-by-ny row-major
 // field, in place.
-func DCT2D2(a []float64, nx, ny int) { transform2D(a, nx, ny, DCT2) }
+func DCT2D2(a []float64, nx, ny int) { Masked2D(a, nx, ny, II, nil) }
 
 // DCT2D3 applies DCT-III along both dimensions of an nx-by-ny row-major
 // field, in place.
-func DCT2D3(a []float64, nx, ny int) { transform2D(a, nx, ny, DCT3) }
+func DCT2D3(a []float64, nx, ny int) { Masked2D(a, nx, ny, III, nil) }
 
-func transform2D(a []float64, nx, ny int, f func([]float64) []float64) {
+// Mask restricts a 2-D transform to the 1-D transforms whose results
+// matter. A nil slice runs every transform in its direction.
+type Mask struct {
+	// Rows[i] == false declares row i all +0 on input. Its row transform
+	// would leave it all +0, so it is skipped.
+	Rows []bool
+	// Cols[j] == false declares column j's result unused. Its column
+	// transform is skipped and the column keeps the row pass's values.
+	Cols []bool
+}
+
+// Masked2D applies the transform of kind k along both dimensions of an
+// nx-by-ny row-major field, in place: every row (the y-direction) first,
+// then every column, skipping what m excludes (nil m excludes nothing).
+// Every value it computes is bitwise the unmasked one.
+func Masked2D(a []float64, nx, ny int, k Kind, m *Mask) {
 	if len(a) != nx*ny {
 		panic("dct: 2D transform size mismatch")
 	}
-	// Rows (y-direction).
-	for i := 0; i < nx; i++ {
-		copy(a[i*ny:(i+1)*ny], f(a[i*ny:(i+1)*ny]))
+	var rows, cols []bool
+	if m != nil {
+		rows, cols = m.Rows, m.Cols
 	}
+	if (rows != nil && len(rows) != nx) || (cols != nil && len(cols) != ny) {
+		panic("dct: 2D mask size mismatch")
+	}
+	// Rows (y-direction).
+	p, sc := getScratch(ny)
+	for i := 0; i < nx; i++ {
+		if rows == nil || rows[i] {
+			p.apply(a[i*ny:(i+1)*ny], k, sc.v)
+		}
+	}
+	p.putScratch(sc)
 	// Columns (x-direction).
-	col := make([]float64, nx)
+	p, sc = getScratch(nx)
+	col := sc.col
 	for j := 0; j < ny; j++ {
+		if cols != nil && !cols[j] {
+			continue
+		}
 		for i := 0; i < nx; i++ {
 			col[i] = a[i*ny+j]
 		}
-		out := f(col)
+		p.apply(col, k, sc.v)
 		for i := 0; i < nx; i++ {
-			a[i*ny+j] = out[i]
+			a[i*ny+j] = col[i]
 		}
+	}
+	p.putScratch(sc)
+}
+
+// getScratch returns the plan of length n (nil if n is not a power of two)
+// and scratch for it.
+func getScratch(n int) (*plan, *scratch) {
+	if !IsPow2(n) {
+		return nil, &scratch{col: make([]float64, n)}
+	}
+	p := planFor(n)
+	return p, p.scratch.Get()
+}
+
+func (p *plan) putScratch(sc *scratch) {
+	if p != nil {
+		p.scratch.Put(sc)
 	}
 }
 

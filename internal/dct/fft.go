@@ -6,14 +6,33 @@
 // (thesis §2.2.2) diagonalizes the grid-of-resistors operator in the DCT
 // basis, and the eigenfunction surface solver (thesis §2.3.1, Fig 2-6)
 // applies the current-to-potential operator as DCT → eigenvalue scaling →
-// inverse DCT.
+// inverse DCT, twice per conjugate-gradient iteration — the extraction hot
+// path.
+//
+// Plans. Every power-of-two length n has one plan, built lazily on first use
+// and shared through a lock-free cache: the DCT pre/post twiddles
+// cos/sin(πk/2n), the per-stage FFT twiddle tables of both directions, the
+// bit-reversal transpositions, and a free list of scratch buffers. FFT,
+// IFFT, DCT2, DCT3 and the 2-D transforms all run through it; the 2-D
+// transforms allocate nothing in steady state. Other lengths take the
+// direct O(n²) sums, which are also the reference the tests check against.
+//
+// Bitwise contract. A plan caches values, never rewrites arithmetic: each
+// twiddle is computed by the same expression as an uncached transform would
+// (stage twiddles by the same w *= wstep recurrence), and every transform
+// performs the same floating-point operations in the same order. Outputs
+// are therefore bit-for-bit those of the uncached radix-2 path, which the
+// tests pin against a copy of it.
+//
+// Masks. Masked2D runs a 2-D transform restricted by a Mask: row transforms
+// of rows declared all-zero are skipped (a DCT of +0s is +0s, bit for bit),
+// and column transforms whose results are never read are skipped. The
+// passes keep their order (all rows, then columns), so every value that is
+// computed is bitwise the unmasked one. DCT2D2 and DCT2D3 are the nil-mask
+// case.
 package dct
 
-import (
-	"fmt"
-	"math"
-	"math/bits"
-)
+import "fmt"
 
 // IsPow2 reports whether n is a positive power of two.
 func IsPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
@@ -39,31 +58,5 @@ func fft(x []complex128, inverse bool) {
 	if !IsPow2(n) {
 		panic(fmt.Sprintf("dct: FFT length %d is not a power of two", n))
 	}
-	// Bit-reversal permutation.
-	shift := 64 - uint(bits.TrailingZeros(uint(n)))
-	for i := 0; i < n; i++ {
-		j := int(bits.Reverse64(uint64(i)) >> shift)
-		if j > i {
-			x[i], x[j] = x[j], x[i]
-		}
-	}
-	sign := -1.0
-	if inverse {
-		sign = 1.0
-	}
-	for size := 2; size <= n; size <<= 1 {
-		half := size >> 1
-		ang := sign * 2 * math.Pi / float64(size)
-		wstep := complex(math.Cos(ang), math.Sin(ang))
-		for start := 0; start < n; start += size {
-			w := complex(1, 0)
-			for k := 0; k < half; k++ {
-				a := x[start+k]
-				b := x[start+k+half] * w
-				x[start+k] = a + b
-				x[start+k+half] = a - b
-				w *= wstep
-			}
-		}
-	}
+	planFor(n).fft(x, inverse)
 }
