@@ -144,13 +144,31 @@ func MulTB(a, b *Dense) *Dense {
 	return out
 }
 
-// MulVec returns a*x.
+// MulVec returns a*x. Every output is summed in column order exactly like
+// Dot(m.Row(i), x), so the result is bitwise that of per-row Dots; four
+// rows share each pass over x, with one accumulator per row, to overlap
+// their otherwise latency-bound addition chains.
 func (m *Dense) MulVec(x []float64) []float64 {
 	if len(x) != m.Cols {
 		panic("la: MulVec dimension mismatch")
 	}
 	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
+	i := 0
+	for ; i+4 <= m.Rows; i += 4 {
+		r0 := m.Row(i)[:len(x)]
+		r1 := m.Row(i + 1)[:len(x)]
+		r2 := m.Row(i + 2)[:len(x)]
+		r3 := m.Row(i + 3)[:len(x)]
+		var s0, s1, s2, s3 float64
+		for j, xj := range x {
+			s0 += r0[j] * xj
+			s1 += r1[j] * xj
+			s2 += r2[j] * xj
+			s3 += r3[j] * xj
+		}
+		out[i], out[i+1], out[i+2], out[i+3] = s0, s1, s2, s3
+	}
+	for ; i < m.Rows; i++ {
 		out[i] = Dot(m.Row(i), x)
 	}
 	return out

@@ -188,3 +188,31 @@ func TestAddSub(t *testing.T) {
 		t.Fatalf("Add/Sub mismatch %g", d)
 	}
 }
+
+// TestMulVecBitwiseMatchesRowDots checks the four-rows-per-pass MulVec
+// against one Dot per row, bit for bit, for 1–9 rows (full passes plus
+// every remainder) and several widths, with zeros and signed zeros mixed in.
+func TestMulVecBitwiseMatchesRowDots(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for rows := 1; rows <= 9; rows++ {
+		for _, cols := range []int{0, 1, 3, 8, 33} {
+			m := randDense(rng, rows, cols)
+			x := make([]float64, cols)
+			for j := range x {
+				x[j] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(9)-4))
+				switch rng.Intn(5) {
+				case 0:
+					x[j] = 0
+				case 1:
+					x[j] = math.Copysign(0, -1)
+				}
+			}
+			got := m.MulVec(x)
+			for i := 0; i < rows; i++ {
+				if want := Dot(m.Row(i), x); math.Float64bits(got[i]) != math.Float64bits(want) {
+					t.Fatalf("%dx%d row %d: MulVec %v, Dot %v", rows, cols, i, got[i], want)
+				}
+			}
+		}
+	}
+}

@@ -9,28 +9,6 @@ import (
 	"subcouple/internal/sparse"
 )
 
-// entryMap accumulates Gw entries with set (not sum) semantics so the
-// symmetric mirror never double-counts.
-type entryMap struct {
-	n int
-	m map[int64]float64
-}
-
-func newEntryMap(n int) *entryMap { return &entryMap{n: n, m: make(map[int64]float64)} }
-
-func (e *entryMap) put(i, j int, v float64) {
-	e.m[int64(i)*int64(e.n)+int64(j)] = v
-	e.m[int64(j)*int64(e.n)+int64(i)] = v
-}
-
-func (e *entryMap) matrix() *sparse.Matrix {
-	ts := make([]sparse.Triplet, 0, len(e.m))
-	for k, v := range e.m {
-		ts = append(ts, sparse.Triplet{Row: int(k / int64(e.n)), Col: int(k % int64(e.n)), Val: v})
-	}
-	return sparse.FromTriplets(e.n, e.n, ts)
-}
-
 // assembleGw fills the kept entries of Gw (§4.4.1): interactions between
 // fast-decaying T columns in squares local to each other (same-level and
 // the conservative cross-level ancestor rule), plus the level-2
@@ -40,9 +18,9 @@ func (tr *Transformed) assembleGw(level2 map[int]*sweepSquare) {
 	n := r.Layout.N()
 	asp := r.Opt.Trace.Begin("lowrank/gw_assembly").Arg("n", n)
 	defer asp.End()
-	em := newEntryMap(n)
-	// Per-square entry lists are computed on the worker pool and merged
-	// into the entry map serially in square order, so the set-semantics
+	em := sparse.NewSymmetricBuilder(n)
+	// Per-square entry lists are computed on the worker pool and written
+	// into the builder serially in square order, so the set-semantics
 	// overwrites resolve the same way for any worker count.
 	type gwEntry struct {
 		i, j int
@@ -79,7 +57,7 @@ func (tr *Transformed) assembleGw(level2 map[int]*sweepSquare) {
 		lsp.End()
 		for _, list := range lists {
 			for _, e := range list {
-				em.put(e.i, e.j, e.v)
+				em.Put(e.i, e.j, e.v)
 			}
 		}
 	}
@@ -133,10 +111,10 @@ func (tr *Transformed) assembleGw(level2 map[int]*sweepSquare) {
 	usp.End()
 	for _, list := range ulists {
 		for _, e := range list {
-			em.put(e.i, e.j, e.v)
+			em.Put(e.i, e.j, e.v)
 		}
 	}
-	tr.Gw = em.matrix()
+	tr.Gw = em.Matrix()
 }
 
 // dotAgainstLocal computes qᵢᵀ·(G·t) where the response G·t is known at the

@@ -139,11 +139,46 @@ func restrict(y []float64, contacts []int) []float64 {
 func (sd *squareData) rowsFor(contacts []int) *la.Dense {
 	out := la.NewDense(len(contacts), sd.R.Cols)
 	for i, c := range contacts {
-		row, ok := sd.pIndex[c]
-		if !ok {
-			panic(fmt.Sprintf("lowrank: contact %d not in P_s of square (%d,%d,l%d)", c, sd.sq.I, sd.sq.J, sd.sq.Level))
+		copy(out.Row(i), sd.rRow(c))
+	}
+	return out
+}
+
+// rRow returns the row of sd.R for a contact of P_s, in place.
+func (sd *squareData) rRow(c int) []float64 {
+	row, ok := sd.pIndex[c]
+	if !ok {
+		panic(fmt.Sprintf("lowrank: contact %d not in P_s of square (%d,%d,l%d)", c, sd.sq.I, sd.sq.J, sd.sq.Level))
+	}
+	return sd.R.Row(row)
+}
+
+// rowsMulVec returns rowsFor(contacts).MulVec(x) without copying the rows:
+// each output is la.Dot of an R row with x, as in la.Dense.MulVec.
+func (sd *squareData) rowsMulVec(contacts []int, x []float64) []float64 {
+	out := make([]float64, len(contacts))
+	for i, c := range contacts {
+		out[i] = la.Dot(sd.rRow(c), x)
+	}
+	return out
+}
+
+// rowsMulVecT returns rowsFor(contacts).MulVecT(x) without copying the
+// rows, accumulating row by row and skipping zero x entries exactly as
+// la.Dense.MulVecT does.
+func (sd *squareData) rowsMulVecT(contacts []int, x []float64) []float64 {
+	if len(x) != len(contacts) {
+		panic("lowrank: rowsMulVecT dimension mismatch")
+	}
+	out := make([]float64, sd.R.Cols)
+	for i, xi := range x {
+		row := sd.rRow(contacts[i])
+		if xi == 0 {
+			continue
 		}
-		copy(out.Row(i), sd.R.Row(row))
+		for j, v := range row {
+			out[j] += xi * v
+		}
 	}
 	return out
 }
@@ -157,7 +192,7 @@ func (sd *squareData) rowsFor(contacts []int) *la.Dense {
 // 4.7).
 func (r *Rep) approxGds(d, s *squareData, x []float64) []float64 {
 	coef := s.V.MulVecT(x)
-	out := s.rowsFor(d.sq.Contacts).MulVec(coef)
+	out := s.rowsMulVec(d.sq.Contacts, coef)
 	if !r.Opt.Refine {
 		return out
 	}
@@ -165,7 +200,7 @@ func (r *Rep) approxGds(d, s *squareData, x []float64) []float64 {
 	copy(o, x)
 	back := s.V.MulVec(coef)
 	la.Axpy(-1, back, o)
-	alpha := d.rowsFor(s.sq.Contacts).MulVecT(o)
+	alpha := d.rowsMulVecT(s.sq.Contacts, o)
 	t2 := d.V.MulVec(alpha)
 	la.Axpy(1, t2, out)
 	return out
@@ -530,7 +565,7 @@ func (r *Rep) respond(s solver.Solver, lev int, batch []*pending) error {
 				t := raw
 				if r.Opt.Refine {
 					// (4.24): V_q((G_pq V_q)ᵀo) + raw − V_q(V_qᵀ raw).
-					alpha := q.rowsFor(sp.par.sq.Contacts).MulVecT(sp.o)
+					alpha := q.rowsMulVecT(sp.par.sq.Contacts, sp.o)
 					beta := q.V.MulVecT(raw)
 					la.Axpy(-1, beta, alpha)
 					corr := q.V.MulVec(alpha)
@@ -654,7 +689,7 @@ func (r *Rep) buildFinestLocal(s solver.Solver) error {
 				t := raw
 				q := r.at(L, qsq.ID)
 				if r.Opt.Refine && q != nil {
-					alpha := q.rowsFor(sd.sq.Contacts).MulVecT(w)
+					alpha := q.rowsMulVecT(sd.sq.Contacts, w)
 					beta := q.V.MulVecT(raw)
 					la.Axpy(-1, beta, alpha)
 					corr := q.V.MulVec(alpha)

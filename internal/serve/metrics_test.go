@@ -192,6 +192,10 @@ func TestMetricsExposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Read to EOF: a body larger than the server's write buffer streams
+	// before the handler returns, and the endpoint's counters are recorded
+	// only after it has returned, just before the final chunk goes out.
+	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 
 	out := scrape(t, ts)

@@ -348,10 +348,11 @@ func TestGracefulShutdownDrains(t *testing.T) {
 			results[c] = postJSON(t, ts, "m", probeVec(m.N, c), false)
 		}(c)
 	}
-	// Wait until every request has been admitted into the open batch, then
-	// begin the drain while the window is still pending.
+	// Wait until every request has been admitted into the open batch (the
+	// request counter moves earlier, before admission), then begin the
+	// drain while the window is still pending.
 	deadline := time.Now().Add(10 * time.Second)
-	for rec.Snapshot().Counters["serve/req_apply"] < clients && time.Now().Before(deadline) {
+	for s.QueueDepth() < clients && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	done := make(chan struct{})

@@ -2,11 +2,22 @@
 // change-of-basis matrix Q and the transformed conductance matrix Gw
 // (G ≈ Q·Gw·Qᵀ), plus thresholding — the "drop small entries of Gw" step
 // that trades accuracy for sparsity in both sparsification algorithms.
+//
+// Matrices are built in one of two ways: FromTriplets sums duplicate
+// entries in input order, and SymmetricBuilder assembles Gw with set
+// semantics (a write fills (i,j) and (j,i), and the later write wins).
+// Both emit column indices sorted within every row, which At relies on.
+// Neither uses a map or a reflection sort, and ThresholdForSparsity finds
+// its cutoff by selection rather than a full sort; builder_test.go checks
+// the builder and the threshold bitwise against map-and-sort oracles.
 package sparse
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -25,7 +36,9 @@ type Matrix struct {
 }
 
 // FromTriplets builds a CSR matrix, summing duplicate entries and dropping
-// exact zeros. The caller's slice is left untouched: construction sorts a
+// exact zeros. Duplicates of one (row, col) are summed in their input
+// order, starting from zero (construction sorts stably by row, then
+// column). The caller's slice is left untouched: construction sorts a
 // private copy, so ts can be reused (or concurrently read) afterwards.
 func FromTriplets(rows, cols int, ts []Triplet) *Matrix {
 	for _, t := range ts {
@@ -33,12 +46,12 @@ func FromTriplets(rows, cols int, ts []Triplet) *Matrix {
 			panic(fmt.Sprintf("sparse: triplet (%d,%d) out of %dx%d", t.Row, t.Col, rows, cols))
 		}
 	}
-	ts = append([]Triplet(nil), ts...)
-	sort.Slice(ts, func(i, j int) bool {
-		if ts[i].Row != ts[j].Row {
-			return ts[i].Row < ts[j].Row
+	ts = slices.Clone(ts)
+	slices.SortStableFunc(ts, func(a, b Triplet) int {
+		if c := cmp.Compare(a.Row, b.Row); c != 0 {
+			return c
 		}
-		return ts[i].Col < ts[j].Col
+		return cmp.Compare(a.Col, b.Col)
 	})
 	m := &Matrix{Rows: rows, Cols: cols, RowPtr: make([]int, rows+1)}
 	for i := 0; i < len(ts); {
@@ -153,41 +166,41 @@ func (m *Matrix) Threshold(t float64) *Matrix {
 // is at least target. This is how the thesis builds Gwt ("the truncation
 // threshold [chosen] so that Gwt would be approximately 6 times sparser").
 //
-// Entries with magnitude strictly above the cutoff abs[len-k] are always
-// kept. Entries tying the cutoff — pervasive here, because the extraction
-// writes every off-diagonal Gw entry together with an equal-valued (j,i)
-// twin — are admitted deterministically in CSR order until the k-entry
-// budget runs out, as whole (i,j)/(j,i) units whenever the transposed entry
-// ties too, so a symmetric input stays symmetric. Keeping every tie (as a
-// plain magnitude threshold would) can come back far denser than target
-// when values repeat.
+// Entries with magnitude strictly above the cutoff abs[len-k] (abs holds
+// the magnitudes in ascending order; the cutoff is found by selection) are
+// always kept. Entries tying the cutoff — pervasive here, because the
+// extraction writes every off-diagonal Gw entry together with an
+// equal-valued (j,i) twin — are admitted deterministically in CSR order
+// until the k-entry budget runs out, as whole (i,j)/(j,i) units whenever
+// the transposed entry ties too, so a symmetric input stays symmetric.
+// Keeping every tie (as a plain magnitude threshold would) can come back
+// far denser than target when values repeat.
 func (m *Matrix) ThresholdForSparsity(target float64) *Matrix {
 	if m.Sparsity() >= target || m.NNZ() == 0 {
+		return m
+	}
+	k := int(float64(m.Rows) * float64(m.Cols) / target)
+	if k < 1 {
+		k = 1
+	}
+	if k >= m.NNZ() {
 		return m
 	}
 	abs := make([]float64, len(m.Val))
 	for i, v := range m.Val {
 		abs[i] = math.Abs(v)
 	}
-	sort.Float64s(abs)
-	k := int(float64(m.Rows) * float64(m.Cols) / target)
-	if k < 1 {
-		k = 1
-	}
-	if k >= len(abs) {
-		return m
-	}
-	t := abs[len(abs)-k]
-	// All entries strictly above t sit in the sorted top-k tail; whatever
-	// remains of the k-entry budget is handed out to ties on t.
+	t := selectAscending(abs, len(abs)-k)
+	// All entries strictly above t belong to the top k; whatever remains of
+	// the k-entry budget is handed out to ties on t.
 	above := 0
-	for _, a := range abs[len(abs)-k:] {
+	for _, a := range abs {
 		if a > t {
 			above++
 		}
 	}
 	budget := k - above
-	keepTie := make(map[[2]int]bool)
+	keepTie := make([]bool, len(m.Val)) // by CSR position
 	for r := 0; r < m.Rows && budget > 0; r++ {
 		for p := m.RowPtr[r]; p < m.RowPtr[r+1] && budget > 0; p++ {
 			c := m.ColIdx[p]
@@ -207,9 +220,11 @@ func (m *Matrix) ThresholdForSparsity(target float64) *Matrix {
 			if budget < unit {
 				continue // a later size-1 tie may still fit
 			}
-			keepTie[[2]int{r, c}] = true
+			keepTie[p] = true
 			if twin {
-				keepTie[[2]int{c, r}] = true
+				if q := m.find(c, r); q >= 0 {
+					keepTie[q] = true
+				}
 			}
 			budget -= unit
 		}
@@ -218,7 +233,7 @@ func (m *Matrix) ThresholdForSparsity(target float64) *Matrix {
 	for r := 0; r < m.Rows; r++ {
 		for p := m.RowPtr[r]; p < m.RowPtr[r+1]; p++ {
 			a := math.Abs(m.Val[p])
-			if a > t || (a == t && keepTie[[2]int{r, m.ColIdx[p]}]) {
+			if a > t || (a == t && keepTie[p]) {
 				out.ColIdx = append(out.ColIdx, m.ColIdx[p])
 				out.Val = append(out.Val, m.Val[p])
 				out.RowPtr[r+1]++
@@ -231,17 +246,77 @@ func (m *Matrix) ThresholdForSparsity(target float64) *Matrix {
 	return out
 }
 
-// At returns entry (r,c), or zero when not stored. Every constructor
-// (FromTriplets, Threshold, ThresholdForSparsity, Symmetrize) emits column
-// indices sorted within each row, so the lookup is a binary search.
+// selectAscending returns the value sort.Float64s would leave at a[k]
+// (ascending, NaNs first), reordering a in place. It is a quickselect with
+// median-of-three pivots and three-way partitions, so heavily tied inputs
+// finish in a few passes; a window that keeps failing to shrink is sorted.
+func selectAscending(a []float64, k int) float64 {
+	lo, hi := 0, len(a) // a[k] lies in a[lo:hi]
+	for tries := 2 * bits.Len(uint(len(a))); hi-lo > 16 && tries > 0; tries-- {
+		p := median3(a[lo], a[lo+(hi-lo)/2], a[hi-1])
+		// Partition a[lo:hi] into < p, == p and > p: [lo,lt), [lt,gt), [gt,hi).
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch {
+			case floatLess(a[i], p):
+				a[lt], a[i] = a[i], a[lt]
+				lt++
+				i++
+			case floatLess(p, a[i]):
+				gt--
+				a[i], a[gt] = a[gt], a[i]
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt
+		case k >= gt:
+			lo = gt
+		default:
+			return a[k]
+		}
+	}
+	slices.Sort(a[lo:hi]) // same order as sort.Float64s
+	return a[k]
+}
+
+// floatLess is sort.Float64s's order: NaN sorts before every number.
+func floatLess(x, y float64) bool { return x < y || (math.IsNaN(x) && !math.IsNaN(y)) }
+
+func median3(a, b, c float64) float64 {
+	if floatLess(b, a) {
+		a, b = b, a
+	}
+	if floatLess(c, b) {
+		b = c
+		if floatLess(b, a) {
+			b = a
+		}
+	}
+	return b
+}
+
+// At returns entry (r,c), or zero when not stored.
 func (m *Matrix) At(r, c int) float64 {
-	lo, hi := m.RowPtr[r], m.RowPtr[r+1]
-	row := m.ColIdx[lo:hi]
-	k := sort.SearchInts(row, c)
-	if k < len(row) && row[k] == c {
-		return m.Val[lo+k]
+	if p := m.find(r, c); p >= 0 {
+		return m.Val[p]
 	}
 	return 0
+}
+
+// find returns the position of stored entry (r,c), or -1. Every
+// constructor (FromTriplets, SymmetricBuilder, Threshold,
+// ThresholdForSparsity, Symmetrize) emits column indices sorted within
+// each row, so the lookup is a binary search.
+func (m *Matrix) find(r, c int) int {
+	lo, hi := m.RowPtr[r], m.RowPtr[r+1]
+	row := m.ColIdx[lo:hi]
+	if k := sort.SearchInts(row, c); k < len(row) && row[k] == c {
+		return lo + k
+	}
+	return -1
 }
 
 // Symmetrize returns (m + mᵀ)/2; useful after extraction procedures that

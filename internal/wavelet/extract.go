@@ -10,27 +10,6 @@ import (
 	"subcouple/internal/sparse"
 )
 
-// entryMap accumulates Gw entries with set (not sum) semantics.
-type entryMap struct {
-	n int
-	m map[int64]float64
-}
-
-func newEntryMap(n int) *entryMap { return &entryMap{n: n, m: make(map[int64]float64)} }
-
-func (e *entryMap) put(i, j int, v float64) {
-	e.m[int64(i)*int64(e.n)+int64(j)] = v
-	e.m[int64(j)*int64(e.n)+int64(i)] = v
-}
-
-func (e *entryMap) matrix() *sparse.Matrix {
-	ts := make([]sparse.Triplet, 0, len(e.m))
-	for k, v := range e.m {
-		ts = append(ts, sparse.Triplet{Row: int(k / int64(e.n)), Col: int(k % int64(e.n)), Val: v})
-	}
-	return sparse.FromTriplets(e.n, e.n, ts)
-}
-
 // ExtractCombined extracts Gws = (QᵀGQ restricted to the §3.5 locality
 // pattern) using the combine-solves technique: root-V and level-0/1 W
 // columns are solved directly; on each level >= 2 the W columns of squares
@@ -44,14 +23,14 @@ func (b *Basis) ExtractCombined(s solver.Solver) (*sparse.Matrix, error) {
 	defer b.rec.Phase("wavelet/extract")()
 	xsp := b.tr.Begin("wavelet/extract_combined").Arg("n", b.N())
 	defer xsp.End()
-	em := newEntryMap(b.N())
+	em := sparse.NewSymmetricBuilder(b.N())
 
 	// Every black-box call of the algorithm is independent of every other,
 	// so the whole schedule — direct solves plus all combine-solves on all
 	// levels — is assembled first and issued as one SolveBatch. A Parallel
 	// (or natively batched) solver then answers them concurrently. Entry
-	// writes into em stay serial and in schedule order, so the result is
-	// bitwise-independent of the worker count.
+	// writes into the builder stay serial and in schedule order, so the
+	// result is bitwise-independent of the worker count.
 	var rhs [][]float64
 
 	// Direct solves: root V columns and W columns on levels 0 and 1
@@ -70,8 +49,9 @@ func (b *Basis) ExtractCombined(s solver.Solver) (*sparse.Matrix, error) {
 	// Combine-solves on levels 2..L (eq. 3.24): squares of a (i mod 3,
 	// j mod 3) class are far enough apart to share one solve. Classes are
 	// visited in sorted key order — Go map iteration is randomized, and the
-	// set semantics of entryMap make the overlap entries of symmetric pairs
-	// order-sensitive, so a fixed order is required for reproducibility.
+	// builder's set semantics (the later write wins) make the overlap
+	// entries of symmetric pairs order-sensitive, so a fixed order is
+	// required for reproducibility.
 	type combined struct {
 		lev, m       int
 		contributors []*quadtree.Square
@@ -138,7 +118,7 @@ func (b *Basis) ExtractCombined(s solver.Solver) (*sparse.Matrix, error) {
 	for k, cj := range direct {
 		y := ys[k]
 		for ci := range b.Cols {
-			em.put(ci, cj, b.colDot(ci, y))
+			em.Put(ci, cj, b.colDot(ci, y))
 		}
 	}
 	for k, cb := range combs {
@@ -146,12 +126,12 @@ func (b *Basis) ExtractCombined(s solver.Solver) (*sparse.Matrix, error) {
 		for _, sq := range cb.contributors {
 			cj := b.wCols[cb.lev][sq.ID][cb.m]
 			for _, ti := range b.targetColumns(sq, cb.lev) {
-				em.put(ti, cj, b.colDot(ti, y))
+				em.Put(ti, cj, b.colDot(ti, y))
 			}
 		}
 	}
 	ssp.End()
-	return em.matrix(), nil
+	return em.Matrix(), nil
 }
 
 // ExtractDirect extracts the same locality-restricted Gws but with one
@@ -184,11 +164,11 @@ func (b *Basis) ExtractDirect(s solver.Solver) (*sparse.Matrix, error) {
 		}
 		copy(resp[base:end], ys)
 	}
-	em := newEntryMap(n)
+	em := sparse.NewSymmetricBuilder(n)
 	b.keptPairs(func(i, j int) {
-		em.put(i, j, b.colDot(i, resp[j]))
+		em.Put(i, j, b.colDot(i, resp[j]))
 	})
-	return em.matrix(), nil
+	return em.Matrix(), nil
 }
 
 // FullGw computes the complete dense Gw = QᵀGQ from an explicit G (used to
