@@ -55,6 +55,11 @@ func main() {
 // the gateway starts accepting.
 var onListen func(net.Addr)
 
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers, so a slow or stalled client cannot hold a connection open
+// forever. A variable only so tests can shorten it.
+var readHeaderTimeout = 10 * time.Second
+
 // multiFlag collects a repeatable string flag.
 type multiFlag []string
 
@@ -156,7 +161,7 @@ func run(args []string, out io.Writer) error {
 		onListen(ln.Addr())
 	}
 
-	hs := &http.Server{Handler: mux}
+	hs := &http.Server{Handler: mux, ReadHeaderTimeout: readHeaderTimeout}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errCh := make(chan error, 1)

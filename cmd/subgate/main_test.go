@@ -75,6 +75,65 @@ func TestRunRejectsBadInvocations(t *testing.T) {
 	}
 }
 
+// startGateway runs the gateway with args on a loopback port. It returns the
+// base URL and a stop function that delivers a real SIGTERM and requires a
+// clean drained exit.
+func startGateway(t *testing.T, args ...string) (string, func()) {
+	t.Helper()
+	addrCh := make(chan net.Addr, 1)
+	onListen = func(a net.Addr) { addrCh <- a }
+	defer func() { onListen = nil }()
+	runErr := make(chan error, 1)
+	go func() { runErr <- run(append([]string{"-addr", "127.0.0.1:0"}, args...), io.Discard) }()
+	var addr net.Addr
+	select {
+	case addr = <-addrCh:
+	case err := <-runErr:
+		t.Fatalf("gateway exited before listening: %v", err)
+	case <-time.After(30 * time.Second):
+		t.Fatal("gateway never bound its listener")
+	}
+	stop := func() {
+		t.Helper()
+		if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case err := <-runErr:
+			if err != nil {
+				t.Fatalf("SIGTERM exit: %v, want clean nil", err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatal("gateway did not exit after SIGTERM")
+		}
+	}
+	return "http://" + addr.String(), stop
+}
+
+// TestSlowClientDisconnected: a client that sends half a request line and
+// then stalls is disconnected once the read-header timeout expires, instead
+// of holding its connection open forever.
+func TestSlowClientDisconnected(t *testing.T) {
+	defer func(d time.Duration) { readHeaderTimeout = d }(readHeaderTimeout)
+	readHeaderTimeout = 200 * time.Millisecond
+	base, stop := startGateway(t, "-backend", "m=127.0.0.1:1")
+	defer stop()
+
+	conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /healthz HT"); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	_, err = io.Copy(io.Discard, conn)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatal("gateway still holds a connection whose request line never finished")
+	}
+}
+
 // buildSubserve compiles the real replica daemon once per test run.
 func buildSubserve(t *testing.T) string {
 	t.Helper()
@@ -202,31 +261,14 @@ func TestGatewayFleetFailover(t *testing.T) {
 	rep2 := startReplica(t, bin, artifact)
 	reportPath := filepath.Join(t.TempDir(), "gate-report.json")
 
-	addrCh := make(chan net.Addr, 1)
-	onListen = func(a net.Addr) { addrCh <- a }
-	defer func() { onListen = nil }()
-	runErr := make(chan error, 1)
-	go func() {
-		// A slow probe interval on purpose: the burst below must exercise the
-		// REQUEST path's failover (connect error -> retry -> mark unready),
-		// not ride on the prober having already removed the dead replica.
-		runErr <- run([]string{
-			"-addr", "127.0.0.1:0",
-			"-backend", "m=" + rep1.addr,
-			"-backend", "m=" + rep2.addr,
-			"-probeinterval", "5s",
-			"-report", reportPath,
-		}, io.Discard)
-	}()
-	var addr net.Addr
-	select {
-	case addr = <-addrCh:
-	case err := <-runErr:
-		t.Fatalf("gateway exited before listening: %v", err)
-	case <-time.After(30 * time.Second):
-		t.Fatal("gateway never bound its listener")
-	}
-	base := "http://" + addr.String()
+	// A slow probe interval on purpose: the burst below must exercise the
+	// REQUEST path's failover (connect error -> retry -> mark unready), not
+	// ride on the prober having already removed the dead replica.
+	base, stop := startGateway(t,
+		"-backend", "m="+rep1.addr,
+		"-backend", "m="+rep2.addr,
+		"-probeinterval", "5s",
+		"-report", reportPath)
 
 	// The startup probe saw both replicas: fleet-ready.
 	resp, err := http.Get(base + "/readyz")
@@ -364,17 +406,7 @@ func TestGatewayFleetFailover(t *testing.T) {
 
 	// Clean SIGTERM drain, then the report must validate and carry the
 	// gateway block with the failovers the burst caused.
-	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-runErr:
-		if err != nil {
-			t.Fatalf("SIGTERM exit: %v, want clean nil", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("gateway did not exit after SIGTERM")
-	}
+	stop()
 	data, err := os.ReadFile(reportPath)
 	if err != nil {
 		t.Fatalf("run report not written: %v", err)

@@ -42,9 +42,9 @@ import (
 	"syscall"
 	"time"
 
-	"subcouple/internal/model"
 	"subcouple/internal/obs"
 	"subcouple/internal/serve"
+	"subcouple/internal/serve/registry"
 )
 
 func main() {
@@ -57,6 +57,11 @@ func main() {
 // onListen is a test seam: when set, it receives the bound address before
 // the daemon starts accepting.
 var onListen func(net.Addr)
+
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers, so a slow or stalled client cannot hold a connection open
+// forever. A variable only so tests can shorten it.
+var readHeaderTimeout = 10 * time.Second
 
 // multiFlag collects a repeatable string flag.
 type multiFlag []string
@@ -77,13 +82,11 @@ func run(args []string, out io.Writer) error {
 		addr      = fs.String("addr", ":8080", "HTTP listen address")
 		poolSize  = fs.Int("pool", 0, "engines per model = per-model concurrency limit (0 = all CPUs)")
 		window    = fs.Duration("window", 500*time.Microsecond, "micro-batch coalescing window (0 = flush immediately)")
-		maxBatch  = fs.Int("maxbatch", serve.DefaultMaxBatch, "max apply requests fused into one batched engine call")
+		maxBatch  = fs.Int("maxbatch", registry.DefaultMaxBatch, "max apply requests fused into one batched engine call")
 		workers   = fs.Int("workers", 0, "engine workers per batched apply (0 = all CPUs); responses are identical for any value")
 		timeout   = fs.Duration("timeout", 10*time.Second, "per-request admission/pool-wait timeout (0 = none)")
 		drainFor  = fs.Duration("drain", 30*time.Second, "graceful-shutdown bound for draining in-flight requests")
 		report    = fs.String("report", "", "write a JSON run report (request counters, latency/batch histograms) here on shutdown")
-		modeName  = fs.String("mode", "exact", "serving kernels: exact (bitwise float64), dense (precomputed dense G), or float32/f32 (reduced precision; /fingerprint is refused outside exact)")
-		denseBud  = fs.Int("densebudget", 0, "with -mode dense: materialization cap in total float64 entries (0 = the built-in default)")
 		metricsOn = fs.Bool("metrics", true, "expose the live metrics registry on GET /metrics (Prometheus text format) and /debug/vars")
 		shedAt    = fs.Int("shedthreshold", 0, "return 503 from /readyz while total batcher queue depth exceeds this (0 = never shed)")
 		adminOn   = fs.Bool("admin", false, "route the loopback-only lifecycle API: POST /admin/models, POST /admin/swap, DELETE /admin/models/{fp}")
@@ -92,10 +95,6 @@ func run(args []string, out io.Writer) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	mode, err := model.ParseMode(*modeName)
-	if err != nil {
-		return fmt.Errorf("subserve: %w", err)
 	}
 	modelPaths = append(modelPaths, fs.Args()...)
 	if len(modelPaths) == 0 && *watchDir == "" {
@@ -118,8 +117,6 @@ func run(args []string, out io.Writer) error {
 		Workers:       *workers,
 		Timeout:       *timeout,
 		Recorder:      rec,
-		Mode:          mode,
-		DenseBudget:   *denseBud,
 		Metrics:       ms,
 		ShedThreshold: *shedAt,
 		Admin:         *adminOn,
@@ -162,13 +159,13 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("subserve: %w", err)
 	}
-	log.Printf("serving %d model(s) on http://%s (pool %d, window %v, maxbatch %d, mode %s)",
-		len(modelPaths), ln.Addr(), serveEnginesPerModel(*poolSize), *window, *maxBatch, mode)
+	log.Printf("serving %d model(s) on http://%s (pool %d, window %v, maxbatch %d)",
+		len(modelPaths), ln.Addr(), serveEnginesPerModel(*poolSize), *window, *maxBatch)
 	if onListen != nil {
 		onListen(ln.Addr())
 	}
 
-	hs := &http.Server{Handler: mux}
+	hs := &http.Server{Handler: mux, ReadHeaderTimeout: readHeaderTimeout}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	srv.SetReady(true)

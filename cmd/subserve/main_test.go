@@ -21,6 +21,7 @@ import (
 	"subcouple/internal/model"
 	"subcouple/internal/obs"
 	"subcouple/internal/serve"
+	"subcouple/internal/serve/registry"
 	"subcouple/internal/solver"
 )
 
@@ -69,24 +70,16 @@ func TestRunRejectsBadInvocations(t *testing.T) {
 	}
 }
 
-// TestModeFlag pins the -mode wiring: an unknown spelling fails startup with
-// an error naming it, and a float32 daemon actually serves the
-// reduced-precision kernels — /apply responses are bitwise equal to a direct
-// float32 engine — while /fingerprint is refused with 400.
-func TestModeFlag(t *testing.T) {
-	var out bytes.Buffer
-	path, m := saveTestArtifact(t, "mode.scm")
-	if err := run([]string{"-model", path, "-mode", "quad"}, &out); err == nil || !strings.Contains(err.Error(), "quad") {
-		t.Fatalf("unknown -mode: err %v, want an error naming the spelling", err)
-	}
-
+// startDaemon runs the daemon with args on a loopback port. It returns the
+// base URL and a stop function that delivers a real SIGTERM and requires a
+// clean drained exit.
+func startDaemon(t *testing.T, args ...string) (string, func()) {
+	t.Helper()
 	addrCh := make(chan net.Addr, 1)
 	onListen = func(a net.Addr) { addrCh <- a }
 	defer func() { onListen = nil }()
 	runErr := make(chan error, 1)
-	go func() {
-		runErr <- run([]string{"-model", path, "-addr", "127.0.0.1:0", "-mode", "f32", "-pool", "1", "-metrics=false"}, io.Discard)
-	}()
+	go func() { runErr <- run(append([]string{"-addr", "127.0.0.1:0"}, args...), io.Discard) }()
 	var addr net.Addr
 	select {
 	case addr = <-addrCh:
@@ -95,70 +88,75 @@ func TestModeFlag(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("daemon never bound its listener")
 	}
-	base := "http://" + addr.String()
-
-	x := make([]float64, m.N)
-	for i := range x {
-		x[i] = float64(i%11) - 5
-	}
-	body, _ := json.Marshal(map[string]any{"x": x})
-	resp, err := http.Post(base+"/apply", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/apply in f32 mode: %d: %s", resp.StatusCode, raw)
-	}
-	var ar struct {
-		Y []float64 `json:"y"`
-	}
-	if err := json.Unmarshal(raw, &ar); err != nil {
-		t.Fatal(err)
-	}
-	ref, err := model.NewEngineOpts(m, model.EngineOptions{Mode: model.ModeFloat32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([]float64, m.N)
-	ref.ApplyInto(want, x)
-	for i := range want {
-		if ar.Y[i] != want[i] {
-			t.Fatalf("f32-mode y[%d] = %v, want %v (not bitwise identical to the float32 engine)", i, ar.Y[i], want[i])
+	stop := func() {
+		t.Helper()
+		if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case err := <-runErr:
+			if err != nil {
+				t.Fatalf("SIGTERM exit: %v, want clean nil", err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatal("daemon did not exit after SIGTERM")
 		}
 	}
+	return "http://" + addr.String(), stop
+}
 
-	resp, err = http.Get(base + "/fingerprint")
-	if err != nil {
-		t.Fatal(err)
+// TestModeFlag pins that the daemon serves one exact kernel family: the
+// retired -mode and -densebudget flags fail startup as unknown flags.
+func TestModeFlag(t *testing.T) {
+	path, _ := saveTestArtifact(t, "mode.scm")
+	for _, args := range [][]string{{"-mode", "exact"}, {"-densebudget", "1"}} {
+		err := run(append([]string{"-model", path}, args...), io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+args[0]) {
+			t.Fatalf("%v: err %v, want an unknown-flag error", args, err)
+		}
 	}
-	msg, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "exact") {
-		t.Fatalf("/fingerprint in f32 mode: %d %q, want 400 naming exactness", resp.StatusCode, msg)
-	}
+}
 
-	// The daemon was started with -metrics=false: no /metrics route.
-	resp, err = http.Get(base + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("/metrics with -metrics=false: %d, want 404", resp.StatusCode)
-	}
-
-	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-runErr:
+// TestMetricsFlagOff: a daemon started with -metrics=false serves but does
+// not route /metrics.
+func TestMetricsFlagOff(t *testing.T) {
+	path, _ := saveTestArtifact(t, "nometrics.scm")
+	base, stop := startDaemon(t, "-model", path, "-metrics=false")
+	defer stop()
+	for ep, want := range map[string]int{"/readyz": http.StatusOK, "/metrics": http.StatusNotFound} {
+		resp, err := http.Get(base + ep)
 		if err != nil {
-			t.Fatalf("SIGTERM exit: %v, want clean nil", err)
+			t.Fatal(err)
 		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("daemon did not exit after SIGTERM")
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Fatalf("%s with -metrics=false: %d, want %d", ep, resp.StatusCode, want)
+		}
+	}
+}
+
+// TestSlowClientDisconnected: a client that sends half a request line and
+// then stalls is disconnected once the read-header timeout expires, instead
+// of holding its connection open forever.
+func TestSlowClientDisconnected(t *testing.T) {
+	defer func(d time.Duration) { readHeaderTimeout = d }(readHeaderTimeout)
+	readHeaderTimeout = 200 * time.Millisecond
+	path, _ := saveTestArtifact(t, "slow.scm")
+	base, stop := startDaemon(t, "-model", path)
+	defer stop()
+
+	conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /healthz HT"); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	_, err = io.Copy(io.Discard, conn)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatal("daemon still holds a connection whose request line never finished")
 	}
 }
 
@@ -170,26 +168,7 @@ func TestDaemonLifecycle(t *testing.T) {
 	path, m := saveTestArtifact(t, "lifecycle.scm")
 	reportPath := filepath.Join(t.TempDir(), "serve-report.json")
 
-	addrCh := make(chan net.Addr, 1)
-	onListen = func(a net.Addr) { addrCh <- a }
-	defer func() { onListen = nil }()
-
-	runErr := make(chan error, 1)
-	go func() {
-		runErr <- run([]string{
-			"-model", path, "-addr", "127.0.0.1:0",
-			"-pool", "2", "-window", "200us", "-report", reportPath,
-		}, io.Discard)
-	}()
-	var addr net.Addr
-	select {
-	case addr = <-addrCh:
-	case err := <-runErr:
-		t.Fatalf("daemon exited before listening: %v", err)
-	case <-time.After(30 * time.Second):
-		t.Fatal("daemon never bound its listener")
-	}
-	base := "http://" + addr.String()
+	base, stop := startDaemon(t, "-model", path, "-pool", "2", "-window", "200us", "-report", reportPath)
 
 	// Liveness and readiness.
 	for _, ep := range []string{"/healthz", "/readyz"} {
@@ -279,8 +258,8 @@ func TestDaemonLifecycle(t *testing.T) {
 	for _, want := range []string{
 		serve.MetricHTTPRequests + `{code="2xx",endpoint="apply"} ` + fmt.Sprint(clients),
 		serve.MetricLatencySeconds + `_count{endpoint="apply"} ` + fmt.Sprint(clients),
-		serve.MetricQueueDepth + `{model="lifecycle"} 0`,
-		serve.MetricPoolInUse + `{model="lifecycle"} 0`,
+		registry.MetricQueueDepth + `{model="lifecycle"} 0`,
+		registry.MetricPoolInUse + `{model="lifecycle"} 0`,
 	} {
 		if !strings.Contains(string(expo), want) {
 			t.Errorf("scrape missing %q", want)
@@ -304,17 +283,7 @@ func TestDaemonLifecycle(t *testing.T) {
 
 	// Real graceful shutdown: SIGTERM to ourselves; run() must drain and
 	// return nil.
-	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-runErr:
-		if err != nil {
-			t.Fatalf("SIGTERM exit: %v, want clean nil", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("daemon did not exit after SIGTERM")
-	}
+	stop()
 
 	// The shutdown report exists, validates, and records the traffic.
 	data, err := os.ReadFile(reportPath)

@@ -74,11 +74,11 @@ func (g *Gateway) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		body.Draining = true
 		body.Reason = "draining"
 	}
-	w.Header().Set("Content-Type", "application/json")
+	status := http.StatusOK
 	if !body.Ready {
-		w.WriteHeader(http.StatusServiceUnavailable)
+		status = http.StatusServiceUnavailable
 	}
-	serve.WriteJSONBody(w, body)
+	serve.WriteJSONStatus(w, status, body)
 }
 
 // handleModels serves the aggregated fleet view from the prober's cache.

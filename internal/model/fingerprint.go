@@ -13,16 +13,7 @@ import (
 // serving path over the same operator (the in-memory extraction result, a
 // decoded .scm artifact, a subserve daemon) reports the same value, for any
 // worker count.
-//
-// Only ModeExact engines may fingerprint: the dense and float32 serving
-// modes change apply rounding (summation order, precision), so hashing their
-// outputs would report a value that matches no artifact. Exactness checks
-// must run on an exact engine over the same model instead.
 func (e *Engine) Fingerprint(workers int) uint64 {
-	if e.mode != ModeExact {
-		panic("model: Fingerprint requires an exact-mode engine (mode " + e.mode.String() +
-			" changes apply rounding and would hash to a value matching no artifact)")
-	}
 	n := e.m.N
 	probe := func(shift int) []float64 {
 		x := make([]float64, n)
@@ -54,10 +45,7 @@ func (e *Engine) Fingerprint(workers int) uint64 {
 }
 
 // FingerprintOf computes the content fingerprint of m on a throwaway
-// exact-mode engine. It is the content address the serving registry keys
-// versions by: callers holding a non-exact serving configuration still need
-// the exact fingerprint, because it identifies the artifact, not the
-// serving kernels.
+// engine. It is the content address the serving registry keys versions by.
 func FingerprintOf(m *Model, workers int) uint64 {
 	return NewEngine(m).Fingerprint(workers)
 }

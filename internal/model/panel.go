@@ -14,15 +14,14 @@ import (
 // A panel packs k right-hand sides column-major — column c of an n×k panel
 // occupies p[c*n : (c+1)*n] — so one sweep over Gw's CSR structure and one
 // sweep over Q's columns (or one pass down the factored level chain) touch
-// all k RHS, instead of re-streaming the matrices k times as the per-column
-// fan-out (ApplyBatchPerColumnInto) does. On the serving layouts Gw is the
+// all k RHS, instead of re-streaming the matrices k times as k single
+// applies do. On the serving layouts Gw is the
 // dominant stream (hundreds of KB of CSR data per apply), so amortizing it
 // across the batch is where the batched-apply speedup comes from, even on a
 // single core.
 //
 // Per column the arithmetic is the exact accumulation sequence of the
-// single-RHS kernels — same terms, same order — so in ModeExact every panel
-// column is bitwise identical to ApplyInto on that column, for any panel
+// single-RHS kernels — same terms, same order — so every panel column is bitwise identical to ApplyInto on that column, for any panel
 // width, chunking, and worker count. Parallelism only partitions the panel
 // into contiguous column chunks, each computed independently on its own
 // scratch; the worker slot never influences a result.
@@ -62,7 +61,7 @@ func (e *Engine) ApplyPanelInto(dst, x []float64, k, workers int) {
 	sp := e.tr.Begin("model/apply_panel").Arg("cols", k).Arg("workers", par.Workers(workers))
 	defer sp.End()
 	start := time.Now()
-	e.panelRun(dst, x, false, k, workers, sp)
+	e.panelRun(dst, x, e.m.Gw, k, workers, sp)
 	e.mPanel.Observe(time.Since(start).Seconds())
 }
 
@@ -78,7 +77,7 @@ func (e *Engine) ApplyPanelThresholdedInto(dst, x []float64, k, workers int) {
 	sp := e.tr.Begin("model/apply_panel").Arg("cols", k).Arg("workers", par.Workers(workers))
 	defer sp.End()
 	start := time.Now()
-	e.panelRun(dst, x, true, k, workers, sp)
+	e.panelRun(dst, x, e.m.Gwt, k, workers, sp)
 	e.mPanel.Observe(time.Since(start).Seconds())
 }
 
@@ -86,9 +85,9 @@ func (e *Engine) ApplyPanelThresholdedInto(dst, x []float64, k, workers int) {
 // fans the chunks over the worker pool. k == 1 short-circuits to the
 // single-RHS kernels — the panel kernels' bitwise reference — so the batched
 // serving path and the one-request path are literally the same code there.
-func (e *Engine) panelRun(dst, x []float64, thresholded bool, k, workers int, sp *obs.Span) {
+func (e *Engine) panelRun(dst, x []float64, gw *sparse.Matrix, k, workers int, sp *obs.Span) {
 	if k == 1 {
-		e.applyAny(e.sc, dst, x, thresholded)
+		e.applyInto(e.sc, dst, gw, x)
 		return
 	}
 	w := par.Workers(workers)
@@ -99,36 +98,25 @@ func (e *Engine) panelRun(dst, x []float64, thresholded bool, k, workers int, sp
 	nch := (k + chunk - 1) / chunk
 	e.growPool(nch)
 	for i := 0; i < nch; i++ {
-		e.pool[i].ensurePanel(e.m, e.mode, chunk)
+		e.pool[i].ensurePanel(e.m, chunk)
 	}
-	e.panel = panelState{dst: dst, x: x, k: k, chunk: chunk, thresholded: thresholded, sp: sp}
+	e.panel = panelState{dst: dst, x: x, gw: gw, k: k, chunk: chunk, sp: sp}
 	par.DoWorker(w, nch, e.panelFn)
 	e.panel = panelState{}
 }
 
-// applyPanelAny runs one panel chunk through the mode's kernel family. A
-// width-1 chunk routes through the single-RHS kernels so the chunked result
-// cannot depend on how the panel was partitioned.
-func (e *Engine) applyPanelAny(sc *scratch, dst, x []float64, thresholded bool, k int) {
+// applyChunk runs one panel chunk. A width-1 chunk routes through the
+// single-RHS kernels so the chunked result cannot depend on how the panel
+// was partitioned.
+func (e *Engine) applyChunk(sc *scratch, dst, x []float64, gw *sparse.Matrix, k int) {
 	if k == 1 {
-		e.applyAny(sc, dst, x, thresholded)
+		e.applyInto(sc, dst, gw, x)
 		return
 	}
-	switch e.mode {
-	case ModeDense:
-		e.dense.applyPanel(dst, x, thresholded, k)
-	case ModeFloat32:
-		e.applyPanel32(sc.f32, dst, x, thresholded, k)
-	default:
-		gw := e.m.Gw
-		if thresholded {
-			gw = e.m.Gwt
-		}
-		e.applyPanel(sc, dst, x, gw, k)
-	}
+	e.applyPanel(sc, dst, x, gw, k)
 }
 
-// applyPanel is the float64 multi-RHS operator: the three-stage
+// applyPanel is the multi-RHS operator: the three-stage
 // U = QᵀX, W = Gw·U, dst = Q·W with each stage sweeping the matrix structure
 // once for all k columns, register-blocked four panel columns at a time so
 // the structure loads (ColPtr/RowIdx/Val) are amortized across the group.
@@ -397,7 +385,7 @@ func (e *Engine) ApplyBatchInto(dst, xs [][]float64, workers int) {
 	sp := e.tr.Begin("model/apply_batch").Arg("cols", k).Arg("workers", par.Workers(workers))
 	defer sp.End()
 	start := time.Now()
-	e.panelRun(py, px, false, k, workers, sp)
+	e.panelRun(py, px, e.m.Gw, k, workers, sp)
 	e.mBatch.Observe(time.Since(start).Seconds())
 	for i := range dst {
 		copy(dst[i], py[i*n:(i+1)*n])

@@ -20,11 +20,10 @@ func packPanel(n int, xs [][]float64) []float64 {
 }
 
 // TestApplyPanelBitwise is the panel kernels' central contract: every column
-// of ApplyPanelInto (and of the panel-backed ApplyBatchInto, and of the
-// per-column ablation ApplyBatchPerColumnInto) is bitwise identical to
-// ApplyInto on that column, for both Q representations, thresholded or not,
-// at every worker count — the batched serving path must be invisible in the
-// response bytes.
+// of ApplyPanelInto (and of the panel-backed ApplyBatchInto) is bitwise
+// identical to ApplyInto on that column, for both Q representations,
+// thresholded or not, at every worker count — the batched serving path must
+// be invisible in the response bytes.
 func TestApplyPanelBitwise(t *testing.T) {
 	for _, method := range []core.Method{core.Wavelet, core.LowRank} {
 		t.Run(method.String(), func(t *testing.T) {
@@ -65,11 +64,6 @@ func TestApplyPanelBitwise(t *testing.T) {
 					eng.ApplyBatchInto(batch, xs, workers)
 					for c := 0; c < k; c++ {
 						bitwiseEqual(t, fmt.Sprintf("k=%d workers=%d ApplyBatchInto col %d", k, workers, c),
-							batch[c], singles[c])
-					}
-					eng.ApplyBatchPerColumnInto(batch, xs, workers)
-					for c := 0; c < k; c++ {
-						bitwiseEqual(t, fmt.Sprintf("k=%d workers=%d ApplyBatchPerColumnInto col %d", k, workers, c),
 							batch[c], singles[c])
 					}
 				}

@@ -92,7 +92,7 @@ func (s *Server) handleAdminLoad(w http.ResponseWriter, r *http.Request) {
 	var data []byte
 	if strings.HasPrefix(r.Header.Get("Content-Type"), "application/json") {
 		var req adminLoadRequest
-		if !readJSON(w, r, &req) {
+		if !ReadJSON(w, r, &req) {
 			return
 		}
 		if req.Path == "" {
@@ -118,7 +118,7 @@ func (s *Server) handleAdminLoad(w http.ResponseWriter, r *http.Request) {
 		s.adminError(w, err)
 		return
 	}
-	writeJSON(w, adminLoadResponse{Fingerprint: fmt.Sprintf("%016x", fp), Created: created})
+	WriteJSON(w, adminLoadResponse{Fingerprint: fmt.Sprintf("%016x", fp), Created: created})
 }
 
 // adminSwapRequest is the JSON POST /admin/swap body.
@@ -143,7 +143,7 @@ type adminSwapResponse struct {
 // has fully quiesced and (if unaliased) may be unloaded.
 func (s *Server) handleAdminSwap(w http.ResponseWriter, r *http.Request) {
 	var req adminSwapRequest
-	if !readJSON(w, r, &req) {
+	if !ReadJSON(w, r, &req) {
 		return
 	}
 	if req.Alias == "" {
@@ -168,7 +168,7 @@ func (s *Server) handleAdminSwap(w http.ResponseWriter, r *http.Request) {
 	if res.HadPrevious {
 		resp.Previous = fmt.Sprintf("%016x", res.Previous)
 	}
-	writeJSON(w, resp)
+	WriteJSON(w, resp)
 }
 
 // handleAdminUnload removes an unaliased version from the content store:
@@ -184,7 +184,7 @@ func (s *Server) handleAdminUnload(w http.ResponseWriter, r *http.Request) {
 		s.adminError(w, err)
 		return
 	}
-	writeJSON(w, map[string]string{"unloaded": fmt.Sprintf("%016x", fp)})
+	WriteJSON(w, map[string]string{"unloaded": fmt.Sprintf("%016x", fp)})
 }
 
 // ParseFingerprint parses the 16-hex-digit content address the rest of the

@@ -11,6 +11,8 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+
+	"subcouple/internal/serve/registry"
 )
 
 // applyError maps serving errors to status codes: refusal while draining
@@ -21,9 +23,9 @@ import (
 // server faults the way the old single serve/errors counter let them.
 func (s *Server) applyError(w http.ResponseWriter, err error) {
 	switch {
-	case errors.Is(err, ErrClosed), errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
+	case errors.Is(err, registry.ErrClosed), errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-	case errors.Is(err, ErrApplyPanic):
+	case errors.Is(err, registry.ErrApplyPanic):
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	default:
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -46,11 +48,6 @@ func ReadJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 		return false
 	}
 	return true
-}
-
-// readJSON is the package-internal spelling of ReadJSON.
-func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	return ReadJSON(w, r, v)
 }
 
 // EncodeRawVector renders y in the raw codec: 8·len(y) bytes of
@@ -109,23 +106,24 @@ func writeRawVector(w http.ResponseWriter, y []float64) {
 	w.Write(buf)
 }
 
-// WriteJSON writes v as the 200 JSON response body. Exported alongside
+// WriteJSON writes v as a 200 JSON response. Exported alongside
 // ReadJSON/EncodeRawVector for the gateway and other embedders.
-func WriteJSON(w http.ResponseWriter, v any) {
+func WriteJSON(w http.ResponseWriter, v any) { WriteJSONStatus(w, http.StatusOK, v) }
+
+// WriteJSONStatus writes v as a JSON response with the given status. The
+// body is marshalled before any header is written, so a value encoding/json
+// refuses (a NaN or ±Inf float64) becomes a 500 carrying the encoder's
+// error, never the requested status over an empty body.
+func WriteJSONStatus(w http.ResponseWriter, status int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		http.Error(w, fmt.Sprintf("encode JSON response: %v", err), http.StatusInternalServerError)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
-	WriteJSONBody(w, v)
+	w.WriteHeader(status)
+	w.Write(append(body, '\n'))
 }
-
-// WriteJSONBody encodes v after the caller has written status and headers
-// (non-200 JSON replies).
-func WriteJSONBody(w http.ResponseWriter, v any) {
-	enc := json.NewEncoder(w)
-	enc.Encode(v)
-}
-
-// writeJSON / writeJSONBody are the package-internal spellings.
-func writeJSON(w http.ResponseWriter, v any)     { WriteJSON(w, v) }
-func writeJSONBody(w http.ResponseWriter, v any) { WriteJSONBody(w, v) }
 
 func queryBool(r *http.Request, key string) bool {
 	switch strings.ToLower(r.URL.Query().Get(key)) {

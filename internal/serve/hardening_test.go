@@ -1,10 +1,12 @@
 package serve_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -16,6 +18,7 @@ import (
 	"subcouple/internal/model"
 	"subcouple/internal/obs"
 	"subcouple/internal/serve"
+	"subcouple/internal/serve/registry"
 )
 
 // privateModel returns a deep copy of the cached test model, safe to corrupt
@@ -51,13 +54,10 @@ func phaseCalls(snap obs.Snapshot, name string) int64 {
 // bitwise-correct results.
 func TestFlushPanicRecovery(t *testing.T) {
 	m := privateModel(t, core.LowRank)
-	p, err := serve.NewPool(m, 1, model.EngineOptions{}, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := registry.NewPool(m, 1, nil, nil)
 	// A wide window so the two concurrent requests below fuse into one
 	// flush and exercise the panel path, not just the k == 1 case.
-	b := serve.NewBatcher(p, 200*time.Millisecond, 4, 1, nil, nil)
+	b := registry.NewBatcher(p, 200*time.Millisecond, 4, 1, nil, nil)
 	defer b.Close()
 
 	saved := m.Gw.ColIdx[0]
@@ -139,72 +139,6 @@ func TestColumnAndFingerprintPanicRecovery(t *testing.T) {
 	}
 }
 
-// TestServeModes wires the serving modes through the daemon: /apply answers
-// exactly what a direct engine in the same mode computes, /models reports
-// the mode and the artifact's exact fingerprint, and /fingerprint refuses
-// with 400 because non-exact kernels would hash to a value matching no
-// artifact.
-func TestServeModes(t *testing.T) {
-	m := testModel(t, core.LowRank)
-	exactFP := fmt.Sprintf("%016x", model.NewEngine(m).Fingerprint(1))
-
-	for _, mode := range []model.Mode{model.ModeDense, model.ModeFloat32} {
-		t.Run(mode.String(), func(t *testing.T) {
-			_, ts, name := newTestServer(t, m, serve.Options{
-				PoolSize: 1, Window: 200 * time.Microsecond, Mode: mode,
-			})
-
-			ref, err := model.NewEngineOpts(m, model.EngineOptions{Mode: mode})
-			if err != nil {
-				t.Fatal(err)
-			}
-			x := probeVec(m.N, 2)
-			want := make([]float64, m.N)
-			ref.ApplyInto(want, x)
-			bitwiseEqual(t, mode.String()+" /apply", postJSON(t, ts, name, x, false), want)
-			ref.ApplyThresholdedInto(want, x)
-			bitwiseEqual(t, mode.String()+" thresholded /apply", postJSON(t, ts, name, x, true), want)
-
-			resp, err := http.Get(ts.URL + "/models")
-			if err != nil {
-				t.Fatal(err)
-			}
-			var infos []map[string]any
-			if err := json.NewDecoder(resp.Body).Decode(&infos); err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
-			if infos[0]["mode"] != mode.String() {
-				t.Fatalf("/models mode %v, want %s", infos[0]["mode"], mode)
-			}
-			if infos[0]["fingerprint"] != exactFP {
-				t.Fatalf("/models fingerprint %v, want the artifact's exact hash %s", infos[0]["fingerprint"], exactFP)
-			}
-
-			resp, err = http.Get(ts.URL + "/fingerprint?model=" + name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			body, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "exact") {
-				t.Fatalf("/fingerprint in %s mode: %d %q, want 400 naming exactness", mode, resp.StatusCode, body)
-			}
-		})
-	}
-}
-
-// TestDenseModeOverBudgetRefusesToServe: an over-budget dense registration
-// fails loudly at AddModel instead of silently materializing.
-func TestDenseModeOverBudgetRefusesToServe(t *testing.T) {
-	m := testModel(t, core.LowRank)
-	s := serve.New(serve.Options{Mode: model.ModeDense, DenseBudget: m.N})
-	err := s.AddModel("m", m)
-	if err == nil || !strings.Contains(err.Error(), "budget") {
-		t.Fatalf("over-budget dense AddModel: %v, want a budget error", err)
-	}
-}
-
 // TestThresholdedCoalescing pins that thresholded batches now flush through
 // the panel kernels bitwise-identically: concurrent Gwt requests fuse (the
 // batch-size histogram proves it) and every response equals the single-RHS
@@ -269,5 +203,53 @@ func TestColumnRecorderKeysOverHTTP(t *testing.T) {
 	}
 	if got := snap.Counters["serve/req_column"]; got != 1 {
 		t.Fatalf("serve/req_column counter = %d, want 1", got)
+	}
+}
+
+// TestApplyNonFiniteResult is the regression test for a JSON /apply that
+// answered 200 with an empty body: an x whose apply overflows to ±Inf made
+// the JSON encoder fail after the 200 was already committed. The JSON codec
+// now answers 400 naming the first non-finite index and the raw codec,
+// while the raw codec passes the IEEE result through bit for bit.
+func TestApplyNonFiniteResult(t *testing.T) {
+	m := testModel(t, core.LowRank)
+	_, ts, name := newTestServer(t, m, serve.Options{PoolSize: 1})
+	x := make([]float64, m.N)
+	for i := range x {
+		x[i] = 1.7e308
+	}
+
+	body, _ := json.Marshal(map[string]any{"model": name, "x": x})
+	resp, err := http.Post(ts.URL+"/apply", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "y[") ||
+		!strings.Contains(string(msg), "raw codec") {
+		t.Fatalf("overflowing JSON /apply: status %d, body %q; want 400 naming y[i] and the raw codec",
+			resp.StatusCode, msg)
+	}
+
+	// The raw codec is a bit-exact pass-through, NaN input included.
+	x[1] = math.NaN()
+	resp, err = http.Post(ts.URL+"/apply?model="+name, "application/octet-stream",
+		bytes.NewReader(serve.EncodeRawVector(x)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if want := serve.EncodeRawVector(direct(m, x, false)); resp.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
+		t.Fatalf("non-finite raw /apply: status %d, %d bytes; want 200 with the engine's %d bytes bit for bit",
+			resp.StatusCode, len(got), len(want))
+	}
+
+	// WriteJSON never commits a status it cannot back with a body.
+	rec := httptest.NewRecorder()
+	serve.WriteJSON(rec, map[string]float64{"y": math.Inf(1)})
+	if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "encode") {
+		t.Fatalf("WriteJSON(+Inf): status %d, body %q; want 500 with the encoder error", rec.Code, rec.Body.String())
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"subcouple/internal/core"
 	"subcouple/internal/obs"
 	"subcouple/internal/serve"
+	"subcouple/internal/serve/registry"
 )
 
 // scrape GETs /metrics and returns the exposition text.
@@ -163,7 +164,7 @@ func TestStatusClassCounters(t *testing.T) {
 // TestMetricsExposition drives real traffic through every instrumented layer
 // and requires the scrape to carry the key families: per-endpoint request
 // counters and latency histograms, batcher queue depth / batch size /
-// window wait, pool gauges, and per-mode engine kernel durations.
+// window wait, pool gauges, and engine kernel durations by kind.
 func TestMetricsExposition(t *testing.T) {
 	const clients = 4
 	m := testModel(t, core.LowRank)
@@ -205,14 +206,14 @@ func TestMetricsExposition(t *testing.T) {
 		serve.MetricHTTPRequests + `{code="2xx",endpoint="column"} 1`,
 		"# TYPE " + serve.MetricLatencySeconds + " histogram",
 		serve.MetricLatencySeconds + `_count{endpoint="apply"} ` + fmt.Sprint(clients),
-		serve.MetricQueueDepth + `{model="m"} 0`,
-		serve.MetricBatchSize + `_count{model="m"}`,
-		serve.MetricWindowWaitSeconds + `_count{model="m"}`,
-		serve.MetricBatchFlushes + `{model="m"}`,
-		serve.MetricPoolInUse + `{model="m"} 0`,
-		"# TYPE " + serve.MetricPoolWaitSeconds + " histogram",
-		serve.MetricPoolTimeouts + `{model="m"} 0`,
-		`subcouple_engine_apply_seconds_count{kind="column",mode="exact"} 1`,
+		registry.MetricQueueDepth + `{model="m"} 0`,
+		registry.MetricBatchSize + `_count{model="m"}`,
+		registry.MetricWindowWaitSeconds + `_count{model="m"}`,
+		registry.MetricBatchFlushes + `{model="m"}`,
+		registry.MetricPoolInUse + `{model="m"} 0`,
+		"# TYPE " + registry.MetricPoolWaitSeconds + " histogram",
+		registry.MetricPoolTimeouts + `{model="m"} 0`,
+		`subcouple_engine_apply_seconds_count{kind="column"} 1`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("scrape missing %q", want)
@@ -224,7 +225,7 @@ func TestMetricsExposition(t *testing.T) {
 	// The engine served the batch through either the single or the panel
 	// kernels depending on how requests coalesced; one of the two kinds
 	// must have samples.
-	if !strings.Contains(out, `kind="single",mode="exact"`) && !strings.Contains(out, `kind="panel",mode="exact"`) {
+	if !strings.Contains(out, `{kind="single"}`) && !strings.Contains(out, `{kind="panel"}`) {
 		t.Error("scrape has no engine apply-duration series for the serving path")
 	}
 	// The scrape itself is instrumented like any endpoint.
@@ -339,7 +340,7 @@ func TestMetricsDuringDrain(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	// Admitted but unflushed: the gauge must already count them.
-	if !strings.Contains(scrape(t, ts), serve.MetricQueueDepth+`{model="m"} `+fmt.Sprint(clients)) {
+	if !strings.Contains(scrape(t, ts), registry.MetricQueueDepth+`{model="m"} `+fmt.Sprint(clients)) {
 		t.Fatalf("queue-depth gauge does not count admitted-but-unflushed requests")
 	}
 
@@ -365,7 +366,7 @@ drain:
 	// and the serving block passes the report validator inside a full
 	// subserve-shaped report.
 	out := scrape(t, ts)
-	if !strings.Contains(out, serve.MetricQueueDepth+`{model="m"} 0`) {
+	if !strings.Contains(out, registry.MetricQueueDepth+`{model="m"} 0`) {
 		t.Error("queue depth not back to 0 after the drain")
 	}
 	if !strings.Contains(out, serve.MetricHTTPRequests+`{code="2xx",endpoint="apply"} `+fmt.Sprint(clients)) {

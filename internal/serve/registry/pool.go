@@ -30,23 +30,17 @@ type Pool struct {
 	mTimeouts *obs.Counter
 }
 
-// NewPool builds size engines over m (size <= 0 selects runtime.NumCPU()),
-// all in the serving mode selected by opts. The recorder and tracer are
-// attached to every engine and may be nil. Construction fails when the mode
-// does — an unknown mode, or a dense materialization over its entry budget —
-// so a misconfigured daemon refuses to start instead of serving surprises.
-func NewPool(m *model.Model, size int, opts model.EngineOptions, rec *obs.Recorder, tr *obs.Tracer) (*Pool, error) {
+// NewPool builds size engines over m (size <= 0 selects runtime.NumCPU()).
+// The recorder and tracer are attached to every engine and may be nil.
+func NewPool(m *model.Model, size int, rec *obs.Recorder, tr *obs.Tracer) *Pool {
 	size = par.Workers(size)
 	p := &Pool{m: m, engines: make(chan *model.Engine, size), size: size, rec: rec}
 	for i := 0; i < size; i++ {
-		e, err := model.NewEngineOpts(m, opts)
-		if err != nil {
-			return nil, err
-		}
+		e := model.NewEngine(m)
 		e.SetObs(rec, tr)
 		p.engines <- e
 	}
-	return p, nil
+	return p
 }
 
 // Model returns the pool's shared model.
@@ -60,8 +54,8 @@ func (p *Pool) Size() int { return p.size }
 func (p *Pool) InUse() int { return int(p.inUse.Load()) }
 
 // SetMetrics attaches live metrics handles for the pool labeled with the
-// registered model name, and propagates the registry to every engine (per-
-// mode apply-duration histograms). Call before serving starts; a nil
+// registered model name, and propagates the registry to every engine (the
+// apply-duration histograms). Call before serving starts; a nil
 // registry leaves everything a no-op.
 func (p *Pool) SetMetrics(ms *obs.Metrics, name string) {
 	p.mInUse = ms.Gauge(MetricPoolInUse, "engines currently checked out of the pool", "model", name)

@@ -5,12 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
 	"time"
 
-	"subcouple/internal/model"
 	"subcouple/internal/obs"
 	"subcouple/internal/serve/registry"
 )
@@ -18,8 +18,7 @@ import (
 // Prometheus metric family names for the HTTP layer, exposed by GET
 // /metrics. Exported so the CI scrape check, cmd/benchreport and tests
 // grep/read the same spellings the server registers. (The pool, batcher and
-// registry families live in internal/serve/registry and are re-exported
-// from compat.go.)
+// registry families live in internal/serve/registry.)
 const (
 	// Per-endpoint HTTP telemetry, labeled {endpoint, code} / {endpoint}.
 	MetricHTTPRequests   = "subserve_http_requests_total"
@@ -185,13 +184,11 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		resp.Ready, resp.Reason = false,
 			fmt.Sprintf("shedding: queue depth %d > threshold %d", resp.QueueDepth, s.opt.ShedThreshold)
 	}
+	status := http.StatusOK
 	if !resp.Ready {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		writeJSONBody(w, resp)
-		return
+		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, resp)
+	WriteJSONStatus(w, status, resp)
 }
 
 // handleMetrics serves the live registry in Prometheus text exposition
@@ -213,7 +210,6 @@ type modelInfo struct {
 	GwtNNZ      int    `json:"gwt_nnz,omitempty"`
 	Thresholded bool   `json:"thresholded"`
 	PoolSize    int    `json:"pool_size"`
-	Mode        string `json:"mode"`
 	Fingerprint string `json:"fingerprint"`
 }
 
@@ -232,7 +228,6 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 			GwNNZ:       m.Gw.NNZ(),
 			Thresholded: m.Gwt != nil,
 			PoolSize:    act.Pool().Size(),
-			Mode:        s.opt.Mode.String(),
 			Fingerprint: fmt.Sprintf("%016x", act.Fingerprint()),
 		}
 		if m.Gwt != nil {
@@ -240,7 +235,7 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 		}
 		infos = append(infos, info)
 	}
-	writeJSON(w, infos)
+	WriteJSON(w, infos)
 }
 
 // lookup resolves the model named in the request (query param or JSON
@@ -292,6 +287,12 @@ type applyResponse struct {
 // x must have exactly the model's contact count; anything else is a 400
 // naming both lengths, checked before the request can reach an engine.
 //
+// Non-finite values: the raw codec is a bit-exact pass-through — NaN and ±Inf
+// entries of x are applied like any other float64 and the IEEE result, NaN
+// and ±Inf included, comes back bit for bit. JSON cannot spell NaN or ±Inf,
+// so when y has a non-finite entry (an overflowing x, say) the JSON codec
+// answers 400 naming the first such index and pointing at the raw codec.
+//
 // The apply itself runs against the activation resolved from the current
 // registry snapshot. If a hot swap displaces that activation between
 // resolve and admit, the drained batcher answers ErrClosed — the handler
@@ -327,7 +328,7 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 		}
 	} else {
 		var req applyRequest
-		if !readJSON(w, r, &req) {
+		if !ReadJSON(w, r, &req) {
 			return
 		}
 		name = req.Model
@@ -379,7 +380,15 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 		writeRawVector(w, y)
 		return
 	}
-	writeJSON(w, applyResponse{Model: alias, N: n, Y: y})
+	for i, v := range y {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			http.Error(w, fmt.Sprintf("apply result y[%d] is %v, which JSON cannot represent (model %s); "+
+				"use the raw codec (Content-Type: application/octet-stream) for non-finite results", i, v, alias),
+				http.StatusBadRequest)
+			return
+		}
+	}
+	WriteJSON(w, applyResponse{Model: alias, N: n, Y: y})
 }
 
 // handleColumn serves one operator column: GET /column?model=&j=&thresholded=1
@@ -453,24 +462,16 @@ func (s *Server) handleColumn(w http.ResponseWriter, r *http.Request) {
 		writeRawVector(w, y)
 		return
 	}
-	writeJSON(w, applyResponse{Model: act.Alias(), N: m.N, Y: y})
+	WriteJSON(w, applyResponse{Model: act.Alias(), N: m.N, Y: y})
 }
 
 // handleFingerprint recomputes the deterministic probe-apply hash through a
 // live pool engine, so the value reflects the serving path as it is right
 // now (and must equal both the load-time /models value and what
-// `subx -load` prints for the same artifact). It is an exactness check by
-// construction, so non-exact serving modes are refused with 400: their
-// rounding differs and the hash would match no artifact (the load-time
-// exact fingerprint is still available from /models).
+// `subx -load` prints for the same artifact).
 func (s *Server) handleFingerprint(w http.ResponseWriter, r *http.Request) {
 	act := s.lookup(w, s.reg.Snapshot(), r.URL.Query().Get("model"))
 	if act == nil {
-		return
-	}
-	if s.opt.Mode != model.ModeExact {
-		http.Error(w, fmt.Sprintf("fingerprint requires exact serving kernels; daemon is in %s mode (see /models for the load-time exact fingerprint)", s.opt.Mode),
-			http.StatusBadRequest)
 		return
 	}
 	ctx, cancel := s.reqCtx(r)
@@ -495,5 +496,5 @@ func (s *Server) handleFingerprint(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	writeJSON(w, map[string]string{"model": act.Alias(), "fingerprint": fmt.Sprintf("%016x", fp)})
+	WriteJSON(w, map[string]string{"model": act.Alias(), "fingerprint": fmt.Sprintf("%016x", fp)})
 }

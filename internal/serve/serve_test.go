@@ -23,6 +23,7 @@ import (
 	"subcouple/internal/model"
 	"subcouple/internal/obs"
 	"subcouple/internal/serve"
+	"subcouple/internal/serve/registry"
 	"subcouple/internal/solver"
 )
 
@@ -512,10 +513,7 @@ func TestRequestValidation(t *testing.T) {
 // cancellation while exhausted, and the double-Put guard.
 func TestPoolCheckout(t *testing.T) {
 	m := testModel(t, core.LowRank)
-	p, err := serve.NewPool(m, 2, model.EngineOptions{}, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := registry.NewPool(m, 2, nil, nil)
 	if p.Size() != 2 {
 		t.Fatalf("pool size %d, want 2", p.Size())
 	}
@@ -555,11 +553,8 @@ func TestPoolCheckout(t *testing.T) {
 // poisons a batch.
 func TestBatcherRejectsBadDimensions(t *testing.T) {
 	m := testModel(t, core.LowRank)
-	p, err := serve.NewPool(m, 1, model.EngineOptions{}, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := serve.NewBatcher(p, 0, 4, 1, nil, nil)
+	p := registry.NewPool(m, 1, nil, nil)
+	b := registry.NewBatcher(p, 0, 4, 1, nil, nil)
 	defer b.Close()
 
 	ctx := context.Background()

@@ -20,8 +20,8 @@ import (
 )
 
 // Options configures a Server. The zero value is usable: NumCPU engines per
-// model, immediate flushes, DefaultMaxBatch, no per-request timeout, no
-// admin surface.
+// model, immediate flushes, registry.DefaultMaxBatch, no per-request
+// timeout, no admin surface.
 type Options struct {
 	// PoolSize is the number of engines (the concurrency limit) per model;
 	// <= 0 selects runtime.NumCPU().
@@ -30,22 +30,13 @@ type Options struct {
 	// (still fusing whatever is already queued).
 	Window time.Duration
 	// MaxBatch bounds the columns fused into one flush (<= 0 selects
-	// DefaultMaxBatch).
+	// registry.DefaultMaxBatch).
 	MaxBatch int
 	// Workers is the engine worker count for batched applies (0 = all CPUs);
 	// responses are bitwise identical for any value.
 	Workers int
 	// Timeout bounds each request's admission + pool wait (0 = none).
 	Timeout time.Duration
-	// Mode selects the serving kernels for every engine in every pool:
-	// model.ModeExact (the zero value), ModeDense or ModeFloat32. Non-exact
-	// modes change apply rounding, so /fingerprint refuses with 400 and the
-	// load-time fingerprint reported by /models is computed on a temporary
-	// exact engine — it identifies the artifact, not the serving kernels.
-	Mode model.Mode
-	// DenseBudget caps dense-mode materialization, in total float64 entries
-	// (<= 0 selects model.DefaultDenseBudget). Ignored outside ModeDense.
-	DenseBudget int
 	// Recorder and Tracer receive serving telemetry; both may be nil.
 	Recorder *obs.Recorder
 	Tracer   *obs.Tracer
@@ -104,15 +95,13 @@ type Server struct {
 // New returns a server over an empty registry.
 func New(opt Options) *Server {
 	reg := registry.New(registry.Options{
-		PoolSize:    opt.PoolSize,
-		Window:      opt.Window,
-		MaxBatch:    opt.MaxBatch,
-		Workers:     opt.Workers,
-		Mode:        opt.Mode,
-		DenseBudget: opt.DenseBudget,
-		Recorder:    opt.Recorder,
-		Tracer:      opt.Tracer,
-		Metrics:     opt.Metrics,
+		PoolSize: opt.PoolSize,
+		Window:   opt.Window,
+		MaxBatch: opt.MaxBatch,
+		Workers:  opt.Workers,
+		Recorder: opt.Recorder,
+		Tracer:   opt.Tracer,
+		Metrics:  opt.Metrics,
 	})
 	return &Server{opt: opt, reg: reg, endpoints: map[string]*endpointMetrics{}}
 }
@@ -131,18 +120,11 @@ func (s *Server) AddModel(name string, m *model.Model) error {
 	if s.reg.Snapshot().Lookup(name) != nil {
 		return fmt.Errorf("serve: duplicate model name %q", name)
 	}
-	fp, created, err := s.reg.Load(m)
+	fp, _, err := s.reg.Load(m)
 	if err != nil {
 		return fmt.Errorf("serve: model %q: %w", name, err)
 	}
 	if _, err := s.reg.Swap(name, fp); err != nil {
-		if created {
-			// The activation build failed (e.g. dense materialization over
-			// budget): drop the version we just loaded so a refused model
-			// does not linger in the store. Best-effort — an alias another
-			// caller raced onto it keeps it alive, which is correct.
-			_ = s.reg.Unload(fp)
-		}
 		return fmt.Errorf("serve: model %q: %w", name, err)
 	}
 	return nil
