@@ -55,10 +55,16 @@ func main() {
 // the gateway starts accepting.
 var onListen func(net.Addr)
 
-// readHeaderTimeout bounds how long a client may take to send its request
-// headers, so a slow or stalled client cannot hold a connection open
-// forever. A variable only so tests can shorten it.
-var readHeaderTimeout = 10 * time.Second
+// Connection timeouts, so a slow or stalled client cannot hold a
+// connection open forever: readHeaderTimeout bounds sending the request
+// headers, readTimeout the whole request including its body, and
+// idleTimeout how long a keep-alive connection may sit between requests.
+// Variables only so tests can shorten them.
+var (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 60 * time.Second
+	idleTimeout       = 120 * time.Second
+)
 
 // multiFlag collects a repeatable string flag.
 type multiFlag []string
@@ -115,18 +121,16 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("subgate: -probeinterval must be positive")
 	}
 
-	rec := obs.NewRecorder()
 	var ms *obs.Metrics
 	if *metricsOn {
 		ms = obs.NewMetrics()
 	}
-	publishExpvars(rec, ms)
+	publishExpvars(ms)
 	gw, err := gateway.New(backends, gateway.Options{
 		ProbeInterval:   *probeIvl,
 		ProbeTimeout:    *probeTmo,
 		ProbeBackoffMax: *backoffMax,
 		Timeout:         *timeout,
-		Recorder:        rec,
 		Metrics:         ms,
 	})
 	if err != nil {
@@ -161,7 +165,8 @@ func run(args []string, out io.Writer) error {
 		onListen(ln.Addr())
 	}
 
-	hs := &http.Server{Handler: mux, ReadHeaderTimeout: readHeaderTimeout}
+	hs := &http.Server{Handler: mux, ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout: readTimeout, IdleTimeout: idleTimeout}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errCh := make(chan error, 1)
@@ -183,7 +188,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	if *report != "" {
-		if err := writeReport(*report, rec, gw, *addr); err != nil {
+		if err := writeReport(*report, gw, *addr); err != nil {
 			return err
 		}
 		log.Printf("run report written to %s", *report)
@@ -194,20 +199,13 @@ func run(args []string, out io.Writer) error {
 
 // writeReport dumps the routing telemetry as a standard run report, written
 // after the drain so the per-backend totals are final.
-func writeReport(path string, rec *obs.Recorder, gw *gateway.Gateway, addr string) error {
-	rep := &obs.RunReport{
-		Schema: obs.ReportSchema,
-		Tool:   "subgate",
-		Config: map[string]any{
-			"addr":    addr,
-			"aliases": gw.Aliases(),
-			"num_cpu": runtime.NumCPU(),
-		},
-		Results:  map[string]any{},
-		Obs:      rec.Snapshot(),
-		Numerics: rec.Numerics(),
-		Gateway:  gw.Stats(),
-	}
+func writeReport(path string, gw *gateway.Gateway, addr string) error {
+	rep := obs.NewServingReport("subgate", map[string]any{
+		"addr":    addr,
+		"aliases": gw.Aliases(),
+		"num_cpu": runtime.NumCPU(),
+	})
+	rep.Gateway = gw.Stats()
 	data, err := rep.MarshalIndent()
 	if err != nil {
 		return err
@@ -215,23 +213,21 @@ func writeReport(path string, rec *obs.Recorder, gw *gateway.Gateway, addr strin
 	return os.WriteFile(path, data, 0o644)
 }
 
-// Live expvar publication; one-time registration with atomically swapped
-// sources, same pattern as subserve (run() is re-entered by tests).
+// Live expvar publication of the metrics registry under "subgate_metrics";
+// one-time registration with an atomically swapped source, same pattern as
+// subserve (run() is re-entered by tests).
 var (
 	expvarOnce sync.Once
-	expvarRec  atomic.Pointer[obs.Recorder]
 	expvarMet  atomic.Pointer[obs.Metrics]
 )
 
-func publishExpvars(rec *obs.Recorder, ms *obs.Metrics) {
-	expvarRec.Store(rec)
+func publishExpvars(ms *obs.Metrics) {
 	if ms != nil {
 		expvarMet.Store(ms)
 	} else {
 		expvarMet.Store(obs.NewMetrics())
 	}
 	expvarOnce.Do(func() {
-		expvar.Publish("subgate", expvar.Func(func() any { return expvarRec.Load().Snapshot() }))
 		expvar.Publish("subgate_metrics", expvar.Func(func() any { return expvarMet.Load().Snapshot() }))
 	})
 }

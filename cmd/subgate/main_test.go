@@ -134,6 +134,82 @@ func TestSlowClientDisconnected(t *testing.T) {
 	}
 }
 
+// TestSlowBodyAndIdleClientsDisconnected: a client that sends complete
+// headers and then trickles its body one byte at a time is disconnected
+// once the read timeout expires, and a keep-alive client that goes quiet
+// after a request is disconnected once the idle timeout expires — neither
+// can hold a connection open forever.
+func TestSlowBodyAndIdleClientsDisconnected(t *testing.T) {
+	defer func(r, i time.Duration) { readTimeout, idleTimeout = r, i }(readTimeout, idleTimeout)
+	readTimeout, idleTimeout = 300*time.Millisecond, 300*time.Millisecond
+	base, stop := startGateway(t, "-backend", "m=127.0.0.1:1")
+	defer stop()
+	addr := strings.TrimPrefix(base, "http://")
+
+	// heldOpen reports whether the gateway still holds conn after 10 s.
+	heldOpen := func(conn net.Conn) bool {
+		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		_, err := io.Copy(io.Discard, conn)
+		ne, ok := err.(net.Error)
+		return ok && ne.Timeout()
+	}
+
+	t.Run("body", func(t *testing.T) {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if _, err := io.WriteString(conn, "POST /apply HTTP/1.1\r\nHost: x\r\n"+
+			"Content-Type: application/json\r\nContent-Length: 1048576\r\n\r\n{\"x\":["); err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan struct{})
+		defer close(done)
+		go func() {
+			for {
+				select {
+				case <-done:
+					return
+				case <-time.After(50 * time.Millisecond):
+				}
+				if _, err := io.WriteString(conn, "0,"); err != nil {
+					return
+				}
+			}
+		}()
+		if heldOpen(conn) {
+			t.Fatal("gateway still holds a connection whose body is still trickling in")
+		}
+	})
+
+	t.Run("idle", func(t *testing.T) {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"); err != nil {
+			t.Fatal(err)
+		}
+		br := bufio.NewReader(conn)
+		resp, err := http.ReadResponse(br, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("/healthz: %d", resp.StatusCode)
+		}
+		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		_, err = io.Copy(io.Discard, br)
+		if ne, ok := err.(net.Error); ok && ne.Timeout() {
+			t.Fatal("gateway still holds an idle keep-alive connection")
+		}
+	})
+}
+
 // buildSubserve compiles the real replica daemon once per test run.
 func buildSubserve(t *testing.T) string {
 	t.Helper()

@@ -9,7 +9,7 @@
 // queue depth crosses -shedthreshold), /models, /apply (JSON or raw
 // float64-LE), /column, /fingerprint, /metrics (Prometheus text exposition
 // of the live registry; disable with -metrics=false), plus /debug/vars
-// (live expvar snapshots of the recorder and the metrics registry) and
+// (the live metrics registry mirrored under subserve_metrics) and
 // /debug/pprof. With -admin, the loopback-only lifecycle API (POST
 // /admin/models, POST /admin/swap, DELETE /admin/models/{fp}) enables hot
 // load/swap/unload by content fingerprint; -watch dir polls a directory
@@ -58,10 +58,17 @@ func main() {
 // the daemon starts accepting.
 var onListen func(net.Addr)
 
-// readHeaderTimeout bounds how long a client may take to send its request
-// headers, so a slow or stalled client cannot hold a connection open
-// forever. A variable only so tests can shorten it.
-var readHeaderTimeout = 10 * time.Second
+// Connection timeouts, so a slow or stalled client cannot hold a
+// connection open forever: readHeaderTimeout bounds sending the request
+// headers, readTimeout the whole request including its body (a 256 MiB
+// admin artifact upload fits comfortably), and idleTimeout how long a
+// keep-alive connection may sit between requests. Variables only so tests
+// can shorten them.
+var (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 60 * time.Second
+	idleTimeout       = 120 * time.Second
+)
 
 // multiFlag collects a repeatable string flag.
 type multiFlag []string
@@ -86,7 +93,7 @@ func run(args []string, out io.Writer) error {
 		workers   = fs.Int("workers", 0, "engine workers per batched apply (0 = all CPUs); responses are identical for any value")
 		timeout   = fs.Duration("timeout", 10*time.Second, "per-request admission/pool-wait timeout (0 = none)")
 		drainFor  = fs.Duration("drain", 30*time.Second, "graceful-shutdown bound for draining in-flight requests")
-		report    = fs.String("report", "", "write a JSON run report (request counters, latency/batch histograms) here on shutdown")
+		report    = fs.String("report", "", "write a JSON run report (per-endpoint request counts and latency quantiles, registry lifecycle) here on shutdown")
 		metricsOn = fs.Bool("metrics", true, "expose the live metrics registry on GET /metrics (Prometheus text format) and /debug/vars")
 		shedAt    = fs.Int("shedthreshold", 0, "return 503 from /readyz while total batcher queue depth exceeds this (0 = never shed)")
 		adminOn   = fs.Bool("admin", false, "route the loopback-only lifecycle API: POST /admin/models, POST /admin/swap, DELETE /admin/models/{fp}")
@@ -104,19 +111,17 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("subserve: -watchinterval must be positive")
 	}
 
-	rec := obs.NewRecorder()
 	var ms *obs.Metrics
 	if *metricsOn {
 		ms = obs.NewMetrics()
 	}
-	publishExpvars(rec, ms)
+	publishExpvars(ms)
 	srv := serve.New(serve.Options{
 		PoolSize:      *poolSize,
 		Window:        *window,
 		MaxBatch:      *maxBatch,
 		Workers:       *workers,
 		Timeout:       *timeout,
-		Recorder:      rec,
 		Metrics:       ms,
 		ShedThreshold: *shedAt,
 		Admin:         *adminOn,
@@ -165,7 +170,8 @@ func run(args []string, out io.Writer) error {
 		onListen(ln.Addr())
 	}
 
-	hs := &http.Server{Handler: mux, ReadHeaderTimeout: readHeaderTimeout}
+	hs := &http.Server{Handler: mux, ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout: readTimeout, IdleTimeout: idleTimeout}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	srv.SetReady(true)
@@ -191,7 +197,7 @@ func run(args []string, out io.Writer) error {
 	srv.Close() // flushes and waits out every admitted batch
 
 	if *report != "" {
-		if err := writeReport(*report, rec, srv, modelPaths, *addr); err != nil {
+		if err := writeReport(*report, srv, modelPaths, *addr); err != nil {
 			return err
 		}
 		log.Printf("run report written to %s", *report)
@@ -212,20 +218,13 @@ func serveEnginesPerModel(poolSize int) int {
 // report is written after the drain, so the optional serving block (live
 // request counts and latency quantiles per endpoint) carries final totals
 // with the queue-depth and pool gauges back at zero.
-func writeReport(path string, rec *obs.Recorder, srv *serve.Server, models []string, addr string) error {
-	rep := &obs.RunReport{
-		Schema: obs.ReportSchema,
-		Tool:   "subserve",
-		Config: map[string]any{
-			"addr":    addr,
-			"models":  []string(models),
-			"num_cpu": runtime.NumCPU(),
-		},
-		Results:  map[string]any{},
-		Obs:      rec.Snapshot(),
-		Numerics: rec.Numerics(),
-		Serving:  srv.ServingStats(),
-	}
+func writeReport(path string, srv *serve.Server, models []string, addr string) error {
+	rep := obs.NewServingReport("subserve", map[string]any{
+		"addr":    addr,
+		"models":  []string(models),
+		"num_cpu": runtime.NumCPU(),
+	})
+	rep.Serving = srv.ServingStats()
 	data, err := rep.MarshalIndent()
 	if err != nil {
 		return err
@@ -233,26 +232,23 @@ func writeReport(path string, rec *obs.Recorder, srv *serve.Server, models []str
 	return os.WriteFile(path, data, 0o644)
 }
 
-// Live expvar publication; one-time registration with atomically swapped
-// sources, same pattern as subx (run() is re-entered by tests). The metrics
-// registry is mirrored under "subserve_metrics" so the -pprof/-debug
-// listener exposes the same series /metrics scrapes; a daemon started with
+// Live expvar publication; one-time registration with an atomically
+// swapped source, same pattern as subx (run() is re-entered by tests). The
+// metrics registry is mirrored under "subserve_metrics" so /debug/vars
+// exposes the same series /metrics scrapes; a daemon started with
 // -metrics=false publishes an empty snapshot there.
 var (
 	expvarOnce sync.Once
-	expvarRec  atomic.Pointer[obs.Recorder]
 	expvarMet  atomic.Pointer[obs.Metrics]
 )
 
-func publishExpvars(rec *obs.Recorder, ms *obs.Metrics) {
-	expvarRec.Store(rec)
+func publishExpvars(ms *obs.Metrics) {
 	if ms != nil {
 		expvarMet.Store(ms)
 	} else {
 		expvarMet.Store(obs.NewMetrics())
 	}
 	expvarOnce.Do(func() {
-		expvar.Publish("subserve", expvar.Func(func() any { return expvarRec.Load().Snapshot() }))
 		expvar.Publish("subserve_metrics", expvar.Func(func() any { return expvarMet.Load().Snapshot() }))
 	})
 }

@@ -75,15 +75,15 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	// Observability: a recorder/tracer exists only when something will read
-	// it — extraction outputs are bitwise identical either way.
+	// Observability: a recorder exists only when something will read it,
+	// and buffers spans only for -trace — extraction outputs are bitwise
+	// identical either way.
 	var rec *obs.Recorder
-	if *report != "" || *pprofAddr != "" {
+	switch {
+	case *tracePath != "":
+		rec = obs.NewTracingRecorder(0)
+	case *report != "" || *pprofAddr != "":
 		rec = obs.NewRecorder()
-	}
-	var tracer *obs.Tracer
-	if *tracePath != "" {
-		tracer = obs.NewTracer(0)
 	}
 	if *pprofAddr != "" {
 		publishExpvars(rec)
@@ -133,7 +133,7 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("load %s: %w", *load, err)
 		}
-		res.Engine().SetObs(rec, tracer)
+		res.Engine().SetRecorder(rec)
 		m = res.Method
 		maxLevel, _ = strconv.Atoi(mdl.Meta["max_level"])
 		log.Printf("model %s: %s, %d contacts, extracted with %d solves (this run: 0)",
@@ -197,18 +197,12 @@ func run(args []string, out io.Writer) error {
 		var err error
 		res, err = core.Extract(s, layout, core.Options{
 			Method: m, MaxLevel: maxLevel, ThresholdFactor: *threshold, Workers: *workers,
-			Recorder: rec, Tracer: tracer,
+			Recorder: rec,
 		})
 		if err != nil {
 			return fmt.Errorf("extract: %w", err)
 		}
 	}
-	if tracer != nil {
-		// Span overflow folds into the report's drop counters — a trace that
-		// lost spans is labeled as such, never silently truncated.
-		rec.Drop("obs/spans_dropped", tracer.Dropped())
-	}
-
 	// 4. Report.
 	fmt.Fprintf(out, "\nmethod:            %v\n", m)
 	fmt.Fprintf(out, "contacts:          %d\n", res.N())
@@ -283,14 +277,14 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("trace: %w", err)
 		}
-		if err := tracer.WriteTrace(f); err != nil {
+		if err := rec.WriteTrace(f); err != nil {
 			return fmt.Errorf("trace: %w", err)
 		}
 		if err := f.Close(); err != nil {
 			return fmt.Errorf("trace: %w", err)
 		}
 		log.Printf("trace with %d spans (%d dropped) written to %s; open at https://ui.perfetto.dev",
-			tracer.SpanCount(), tracer.Dropped(), *tracePath)
+			rec.SpanCount(), rec.SpansDropped(), *tracePath)
 	}
 
 	if *report != "" {

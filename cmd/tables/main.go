@@ -51,11 +51,11 @@ func main() {
 		}
 		experiments.ModelDir = *models
 	}
-	if *report != "" {
+	switch {
+	case *trace != "":
+		experiments.Recorder = obs.NewTracingRecorder(0)
+	case *report != "":
 		experiments.Recorder = obs.NewRecorder()
-	}
-	if *trace != "" {
-		experiments.Tracer = obs.NewTracer(0)
 	}
 
 	scale := experiments.Full
@@ -84,12 +84,11 @@ func main() {
 	}
 
 	if *trace != "" {
-		experiments.Recorder.Drop("obs/spans_dropped", experiments.Tracer.Dropped())
-		if err := writeTrace(*trace, experiments.Tracer); err != nil {
+		if err := writeTrace(*trace, experiments.Recorder); err != nil {
 			log.Fatalf("trace: %v", err)
 		}
 		log.Printf("trace with %d spans written to %s (open at https://ui.perfetto.dev)",
-			experiments.Tracer.SpanCount(), *trace)
+			experiments.Recorder.SpanCount(), *trace)
 	}
 	if *report != "" {
 		if err := writeReport(*report, *table, *small, *large, *workers); err != nil {
@@ -100,12 +99,12 @@ func main() {
 }
 
 // writeTrace dumps every span of the run as Chrome trace-event JSON.
-func writeTrace(path string, tr *obs.Tracer) error {
+func writeTrace(path string, rec *obs.Recorder) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := tr.WriteTrace(f); err != nil {
+	if err := rec.WriteTrace(f); err != nil {
 		f.Close()
 		return err
 	}

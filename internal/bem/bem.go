@@ -54,8 +54,7 @@ type Solver struct {
 	solves     atomic.Int64
 	totalIters atomic.Int64
 
-	rec *obs.Recorder // CG/PCG iteration histogram
-	tr  *obs.Tracer   // per-solve spans with convergence args
+	rec *obs.Recorder // CG/PCG iteration histogram, per-solve spans
 }
 
 // New builds a solver for the layout on the profile with an np-by-np panel
@@ -173,7 +172,7 @@ func (s *Solver) solveOn(parent *obs.Span, track int, v []float64) ([]float64, e
 	if parent != nil {
 		sp = parent.ChildOn(track, "bem/solve")
 	} else {
-		sp = s.tr.BeginOn(track, "bem/solve")
+		sp = s.rec.BeginOn(track, "bem/solve")
 	}
 	w := s.work.Get()
 	defer s.work.Put(w)
@@ -211,19 +210,17 @@ func (s *Solver) SetWorkers(w int) { s.Workers = w }
 
 // SetRecorder implements obs.RecorderSetter: CG (or PCG) iteration counts
 // land in the "bem/cg_iters" histogram and final relative residuals in the
-// "bem/cg_final_rel" numerics stat.
+// "bem/cg_final_rel" numerics stat. On a tracing recorder each solve also
+// emits a "bem/solve" span (per-worker tracks under a "bem/batch" span for
+// batched solves).
 func (s *Solver) SetRecorder(rec *obs.Recorder) { s.rec = rec }
-
-// SetTracer implements obs.TracerSetter: each solve emits a "bem/solve" span
-// (per-worker tracks under a "bem/batch" span for batched solves).
-func (s *Solver) SetTracer(tr *obs.Tracer) { s.tr = tr }
 
 // SolveBatch implements solver.BatchSolver: independent right-hand sides
 // run as concurrent CG solves on the worker pool. Every solve checks out its
 // own workspace and writes only its output slot, so the batch is
 // bitwise-identical to sequential Solve calls.
 func (s *Solver) SolveBatch(vs [][]float64) ([][]float64, error) {
-	sp := s.tr.Begin("bem/batch").Arg("batch_size", len(vs))
+	sp := s.rec.Begin("bem/batch").Arg("batch_size", len(vs))
 	out := make([][]float64, len(vs))
 	err := par.DoWorkerErr(s.Workers, len(vs), func(worker, i int) error {
 		r, err := s.solveOn(sp, worker+1, vs[i])

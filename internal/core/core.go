@@ -79,13 +79,12 @@ type Options struct {
 	MaxBatchBytes int64
 	// Recorder, when non-nil, collects per-phase wall times, solve counts,
 	// batch stats, and (for instrumented solvers) iteration histograms
-	// during the extraction. Recording never changes extraction outputs —
-	// they stay bitwise identical to a nil-recorder run.
+	// during the extraction; a tracing recorder (obs.NewTracingRecorder)
+	// also collects hierarchical spans (per level, square, batch, worker,
+	// and solve) for Chrome trace-event export. Recording never changes
+	// extraction outputs — they stay bitwise identical to a nil-recorder
+	// run.
 	Recorder *obs.Recorder
-	// Tracer, when non-nil, collects hierarchical spans (per level, square,
-	// batch, worker, and solve) for Chrome trace-event export. Like the
-	// recorder, tracing never changes extraction outputs.
-	Tracer *obs.Tracer
 }
 
 // Prepare splits a layout at the finest-square boundaries of an
@@ -146,12 +145,11 @@ func Extract(s solver.Solver, layout *geom.Layout, opt Options) (*Result, error)
 	counting := solver.NewCounting(solver.Parallel(s, opt.Workers))
 	// One SetRecorder call wires the whole chain: the counter streams solve
 	// and batch stats, the pool its worker utilization, and an instrumented
-	// backend (fd, bem) its iteration histograms. SetTracer wires spans the
-	// same way. Nil recorder/tracer = no-op.
+	// backend (fd, bem) its iteration histograms and spans. Nil recorder =
+	// no-op.
 	counting.SetRecorder(opt.Recorder)
-	counting.SetTracer(opt.Tracer)
 	defer opt.Recorder.Phase("core/extract")()
-	rootSpan := opt.Tracer.Begin("core/extract").
+	rootSpan := opt.Recorder.Begin("core/extract").
 		Arg("method", opt.Method.String()).Arg("contacts", layout.N()).Arg("workers", opt.Workers)
 	defer rootSpan.End()
 	res := &Result{Method: opt.Method, Layout: layout, Tree: tree}
@@ -163,7 +161,7 @@ func Extract(s solver.Solver, layout *geom.Layout, opt Options) (*Result, error)
 		if p == 0 {
 			p = 2
 		}
-		b, err := wavelet.NewBasisObs(layout, tree, p, opt.Workers, opt.Recorder, opt.Tracer)
+		b, err := wavelet.NewBasisRec(layout, tree, p, opt.Workers, opt.Recorder)
 		if err != nil {
 			return nil, err
 		}
@@ -197,7 +195,6 @@ func Extract(s solver.Solver, layout *geom.Layout, opt Options) (*Result, error)
 			lopt.MaxBatchBytes = opt.MaxBatchBytes
 		}
 		lopt.Rec = opt.Recorder
-		lopt.Trace = opt.Tracer
 		rep, err := lowrank.Build(layout, tree, counting, lopt)
 		if err != nil {
 			return nil, err
@@ -228,7 +225,7 @@ func Extract(s solver.Solver, layout *geom.Layout, opt Options) (*Result, error)
 	}
 	res.model = m
 	res.engine = model.NewEngine(m)
-	res.engine.SetObs(opt.Recorder, opt.Tracer)
+	res.engine.SetRecorder(opt.Recorder)
 	return res, nil
 }
 

@@ -98,46 +98,60 @@ func TestExtractionDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestRecorderDoesNotChangeOutputs is the observability layer's guarantee:
-// extraction with a live obs.Recorder is bitwise identical — Q, Gw, Gwt,
-// solve count — to a nil-recorder run on the 256-contact benchmark layout,
-// and costs little enough that the instrumented run stays within a generous
-// wall-time factor of the bare one (a loose guard, since single runs on a
-// shared box are noisy).
-func TestRecorderDoesNotChangeOutputs(t *testing.T) {
+// extractBareAndObserved runs one extraction without a recorder and one
+// with rec on the 256-contact benchmark layout, and checks the observed
+// run is bitwise identical — Q, Gw, Gwt, solve count — to the bare one and
+// that rec counted every solve. It returns the two wall times.
+func extractBareAndObserved(t *testing.T, method core.Method, workers int, rec *obs.Recorder) (bareT, liveT time.Duration) {
+	t.Helper()
 	raw := geom.AlternatingGrid(64, 64, 16, 16, 1, 3) // 256 contacts
 	layout, maxLevel := core.Prepare(raw, 4)
 	g := experiments.SyntheticG(layout)
+	opt := core.Options{Method: method, MaxLevel: maxLevel, ThresholdFactor: 6, Workers: workers}
+	run := func(rec *obs.Recorder) (*core.Result, time.Duration) {
+		o := opt
+		o.Recorder = rec
+		start := time.Now()
+		res, err := core.Extract(solver.NewDense(g), layout, o)
+		if err != nil {
+			t.Fatalf("%v: %v", method, err)
+		}
+		return res, time.Since(start)
+	}
+	bare, bareT := run(nil)
+	live, liveT := run(rec)
+
+	what := method.String()
+	if live.Solves != bare.Solves {
+		t.Errorf("%s: %d solves observed vs %d without", what, live.Solves, bare.Solves)
+	}
+	sameMatrix(t, what+" Gw", bare.Gw, live.Gw)
+	sameMatrix(t, what+" Gwt", bare.Gwt, live.Gwt)
+	sameMatrix(t, what+" Q", bare.Q(), live.Q())
+
+	s := rec.Snapshot()
+	if len(s.Phases) == 0 {
+		t.Errorf("%s: recorder saw no phases", what)
+	}
+	if got := s.Counters["solver/solves"]; got != int64(bare.Solves) {
+		t.Errorf("%s: recorder counted %d solves, extraction reports %d", what, got, bare.Solves)
+	}
+	return bareT, liveT
+}
+
+// TestRecorderDoesNotChangeOutputs is the observability layer's guarantee:
+// extraction with a live obs.Recorder is bitwise identical — Q, Gw, Gwt,
+// solve count — to a nil-recorder run on the 256-contact benchmark layout,
+// buffers no spans when tracing is off, and costs little enough that the
+// instrumented run stays within a generous wall-time factor of the bare
+// one (a loose guard, since single runs on a shared box are noisy).
+func TestRecorderDoesNotChangeOutputs(t *testing.T) {
 	for _, method := range []core.Method{core.Wavelet, core.LowRank} {
-		opt := core.Options{Method: method, MaxLevel: maxLevel, ThresholdFactor: 6}
-		run := func(rec *obs.Recorder) (*core.Result, time.Duration) {
-			o := opt
-			o.Recorder = rec
-			start := time.Now()
-			res, err := core.Extract(solver.NewDense(g), layout, o)
-			if err != nil {
-				t.Fatalf("%v: %v", method, err)
-			}
-			return res, time.Since(start)
-		}
-		bare, bareT := run(nil)
 		rec := obs.NewRecorder()
-		live, liveT := run(rec)
-
+		bareT, liveT := extractBareAndObserved(t, method, 0, rec)
 		what := method.String()
-		if live.Solves != bare.Solves {
-			t.Errorf("%s: %d solves with recorder vs %d without", what, live.Solves, bare.Solves)
-		}
-		sameMatrix(t, what+" Gw", bare.Gw, live.Gw)
-		sameMatrix(t, what+" Gwt", bare.Gwt, live.Gwt)
-		sameMatrix(t, what+" Q", bare.Q(), live.Q())
-
-		s := rec.Snapshot()
-		if len(s.Phases) == 0 {
-			t.Errorf("%s: recorder saw no phases", what)
-		}
-		if got := s.Counters["solver/solves"]; got != int64(bare.Solves) {
-			t.Errorf("%s: recorder counted %d solves, extraction reports %d", what, got, bare.Solves)
+		if rec.SpanCount() != 0 {
+			t.Errorf("%s: non-tracing recorder buffered %d spans", what, rec.SpanCount())
 		}
 		if liveT > 2*bareT+50*time.Millisecond {
 			t.Errorf("%s: instrumented run took %v vs %v bare — recorder overhead too high", what, liveT, bareT)
@@ -146,47 +160,25 @@ func TestRecorderDoesNotChangeOutputs(t *testing.T) {
 }
 
 // TestTracerDoesNotChangeOutputs extends the observability guarantee to
-// span tracing: extraction with a live tracer (and recorder) is bitwise
-// identical to an untraced run for both methods and a parallel worker
-// count, and the trace actually covers the run — spans on the main track
-// plus at least one worker track, with no spans silently lost.
+// span tracing: extraction with a tracing recorder is bitwise identical to
+// an untraced run for both methods and a parallel worker count, and the
+// trace actually covers the run — spans on the main track plus at least one
+// worker track, with no spans silently lost.
 func TestTracerDoesNotChangeOutputs(t *testing.T) {
-	raw := geom.AlternatingGrid(64, 64, 16, 16, 1, 3) // 256 contacts
-	layout, maxLevel := core.Prepare(raw, 4)
-	g := experiments.SyntheticG(layout)
 	for _, method := range []core.Method{core.Wavelet, core.LowRank} {
-		opt := core.Options{Method: method, MaxLevel: maxLevel, ThresholdFactor: 6, Workers: 4}
-		run := func(tr *obs.Tracer) *core.Result {
-			o := opt
-			o.Tracer = tr
-			if tr != nil {
-				o.Recorder = obs.NewRecorder()
-			}
-			res, err := core.Extract(solver.NewDense(g), layout, o)
-			if err != nil {
-				t.Fatalf("%v: %v", method, err)
-			}
-			return res
-		}
-		bare := run(nil)
-		tr := obs.NewTracer(0)
-		traced := run(tr)
-
+		rec := obs.NewTracingRecorder(0)
+		extractBareAndObserved(t, method, 4, rec)
 		what := method.String()
-		if traced.Solves != bare.Solves {
-			t.Errorf("%s: %d solves with tracer vs %d without", what, traced.Solves, bare.Solves)
+		if !rec.Tracing() {
+			t.Fatalf("%s: NewTracingRecorder is not tracing", what)
 		}
-		sameMatrix(t, what+" Gw", bare.Gw, traced.Gw)
-		sameMatrix(t, what+" Gwt", bare.Gwt, traced.Gwt)
-		sameMatrix(t, what+" Q", bare.Q(), traced.Q())
-
-		if tr.SpanCount() == 0 {
-			t.Errorf("%s: tracer saw no spans", what)
+		if rec.SpanCount() == 0 {
+			t.Errorf("%s: tracing recorder saw no spans", what)
 		}
-		if tr.Dropped() != 0 {
-			t.Errorf("%s: %d spans dropped with the default buffer", what, tr.Dropped())
+		if got := rec.Numerics().Drops["obs/spans_dropped"]; got != 0 || rec.SpansDropped() != 0 {
+			t.Errorf("%s: %d spans dropped with the default buffer", what, got)
 		}
-		tracks := tr.Tracks()
+		tracks := rec.Tracks()
 		if len(tracks) < 2 || tracks[0] != 0 {
 			t.Errorf("%s: tracks = %v, want main plus at least one worker track", what, tracks)
 		}

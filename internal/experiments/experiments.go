@@ -32,14 +32,9 @@ var Workers int
 // Recorder, when non-nil, is threaded into every extraction and
 // instrumented solver the runners build, so cmd/tables -report can
 // aggregate phase timings and iteration histograms across a whole table
-// run. Recording never changes any table result.
+// run, and cmd/tables -trace (a tracing recorder) can export one Chrome
+// trace-event file spanning it. Recording never changes any table result.
 var Recorder *obs.Recorder
-
-// Tracer, when non-nil, is threaded into every extraction and instrumented
-// solver the same way, so cmd/tables -trace can export one Chrome
-// trace-event file spanning the whole run. Tracing never changes any table
-// result.
-var Tracer *obs.Tracer
 
 // ModelDir, when non-empty, is a model-artifact cache directory for the
 // default-option sparsify runners: a run first looks for
@@ -137,7 +132,6 @@ func BemSolver(c Case) (*bem.Solver, error) {
 	s.Tol = 1e-6
 	s.Workers = Workers
 	s.SetRecorder(Recorder)
-	s.SetTracer(Tracer)
 	return s, nil
 }
 
@@ -230,7 +224,7 @@ func loadCachedModel(c Case, method core.Method) *core.Result {
 	if err != nil {
 		return nil
 	}
-	res.Engine().SetObs(Recorder, Tracer)
+	res.Engine().SetRecorder(Recorder)
 	return res
 }
 
@@ -255,7 +249,7 @@ func runSparsifySampled(c Case, s solver.Solver, exact *la.Dense, cols []int, me
 		var err error
 		res, err = core.Extract(s, c.Layout, core.Options{
 			Method: method, MaxLevel: c.MaxLevel, ThresholdFactor: 6, LowRank: lopt,
-			Workers: Workers, Recorder: Recorder, Tracer: Tracer,
+			Workers: Workers, Recorder: Recorder,
 		})
 		if err != nil {
 			return SparsifyStats{}, fmt.Errorf("extract %s/%v: %w", c.Name, method, err)
@@ -337,7 +331,6 @@ func Table21(scale Scale) ([]PrecondStats, error) {
 		}
 		if _, err := core.Extract(s, layout, core.Options{
 			Method: core.Wavelet, MaxLevel: maxLevel, Workers: Workers, Recorder: Recorder,
-			Tracer: Tracer,
 		}); err != nil {
 			return nil, err
 		}
@@ -384,8 +377,6 @@ func Table22(scale Scale) ([]SolverSpeed, error) {
 	bemS.Tol = 1e-6
 	fdS.SetRecorder(Recorder)
 	bemS.SetRecorder(Recorder)
-	fdS.SetTracer(Tracer)
-	bemS.SetTracer(Tracer)
 	run := func(s solver.Solver) (float64, error) {
 		e := make([]float64, layout.N())
 		start := time.Now()

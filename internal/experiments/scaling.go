@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"time"
 
 	"subcouple/internal/core"
@@ -101,14 +100,17 @@ func SyntheticSolver(c Case) *la.Dense { return SyntheticG(c.Layout) }
 
 // RunScalingPoint runs one (case, method) rung: a single instrumented
 // extraction against the precomputed synthetic kernel g, with per-phase
-// wall times, peak Go heap (sampled) and peak process RSS (kernel VmHWM)
-// recorded alongside the solve count and Gw/Gwt nonzeros. maxBatchBytes
+// wall times, peak Go heap (sampled) and peak process RSS (kernel VmHWM,
+// reset before the rung so it is this rung's peak; left out when the reset
+// is unavailable) recorded alongside the solve count and Gw/Gwt nonzeros. maxBatchBytes
 // bounds the low-rank respond batches (0 = unbounded); outputs are bitwise
 // identical either way, so the point's solves/nnz never depend on it.
 func RunScalingPoint(sc ScalingCase, g *la.Dense, method core.Method, maxBatchBytes int64) (ScalingPoint, error) {
 	c := sc.Case
 	rec := obs.NewRecorder()
-	runtime.GC() // start each rung from a collected heap so peaks are comparable
+	// Start each rung from a collected heap returned to the OS, with the RSS
+	// high-water mark reset, so peaks are comparable and belong to the rung.
+	rssReset := obs.ResetPeakRSS()
 	sampler := obs.NewHeapSampler(0)
 	start := time.Now()
 	res, err := core.Extract(solver.NewDense(g), c.Layout, core.Options{
@@ -134,7 +136,7 @@ func RunScalingPoint(sc ScalingCase, g *la.Dense, method core.Method, maxBatchBy
 		GwtNNZ:         res.Gwt.NNZ(),
 		PeakHeapBytes:  peakHeap,
 	}
-	if rss, ok := obs.PeakRSS(); ok {
+	if rss, ok := obs.PeakRSS(); ok && rssReset {
 		p.PeakRSSBytes = rss
 	}
 	for _, ph := range rec.Snapshot().Phases {

@@ -114,8 +114,7 @@ type Solver struct {
 	solves     atomic.Int64
 	totalIters atomic.Int64
 
-	rec *obs.Recorder // PCG iteration histogram + precond-setup phase
-	tr  *obs.Tracer   // per-solve spans with convergence args
+	rec *obs.Recorder // PCG iteration histogram + precond-setup phase, per-solve spans
 }
 
 // New builds a finite-difference solver. The lateral dimensions and depth of
@@ -397,7 +396,7 @@ func (s *Solver) solveOn(parent *obs.Span, track int, v []float64) ([]float64, e
 	if parent != nil {
 		sp = parent.ChildOn(track, "fd/solve")
 	} else {
-		sp = s.tr.BeginOn(track, "fd/solve")
+		sp = s.rec.BeginOn(track, "fd/solve")
 	}
 	b := s.rhs(v)
 	x := make([]float64, s.NumNodes())
@@ -419,12 +418,10 @@ func (s *Solver) SetWorkers(w int) { s.Opt.Workers = w }
 // SetRecorder implements obs.RecorderSetter: PCG iteration counts land in
 // the "fd/pcg_iters" histogram, final relative residuals in the
 // "fd/pcg_final_rel" numerics stat, and the one-time preconditioner build is
-// timed as phase "fd/precond_setup".
+// timed as phase "fd/precond_setup". On a tracing recorder each solve also
+// emits an "fd/solve" span (per-worker tracks under an "fd/batch" span for
+// batched solves).
 func (s *Solver) SetRecorder(rec *obs.Recorder) { s.rec = rec }
-
-// SetTracer implements obs.TracerSetter: each solve emits an "fd/solve" span
-// (per-worker tracks under an "fd/batch" span for batched solves).
-func (s *Solver) SetTracer(tr *obs.Tracer) { s.tr = tr }
 
 // SolveBatch implements solver.BatchSolver: independent right-hand sides
 // run as concurrent PCG solves on the worker pool. Each solve is a fully
@@ -434,7 +431,7 @@ func (s *Solver) SolveBatch(vs [][]float64) ([][]float64, error) {
 	if err := s.ensurePrecond(); err != nil {
 		return nil, err
 	}
-	sp := s.tr.Begin("fd/batch").Arg("batch_size", len(vs))
+	sp := s.rec.Begin("fd/batch").Arg("batch_size", len(vs))
 	out := make([][]float64, len(vs))
 	err := par.DoWorkerErr(s.Opt.Workers, len(vs), func(worker, i int) error {
 		r, err := s.solveOn(sp, worker+1, vs[i])

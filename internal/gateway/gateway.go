@@ -141,10 +141,9 @@ type Options struct {
 	// (timeouts are applied per request via context; the client itself
 	// should not set one). Nil selects a dedicated pooled client.
 	Client *http.Client
-	// Recorder and Metrics receive gateway telemetry; both may be nil, and
-	// /metrics is only routed when Metrics is set.
-	Recorder *obs.Recorder
-	Metrics  *obs.Metrics
+	// Metrics receives gateway telemetry; it may be nil, and /metrics is
+	// only routed when it is set.
+	Metrics *obs.Metrics
 }
 
 func (o *Options) probeInterval() time.Duration {
@@ -220,19 +219,6 @@ type routeTable struct {
 	ready map[string][]*replica
 }
 
-// endpointMetrics mirrors serve's per-endpoint telemetry shape for the
-// gateway's front door.
-type endpointMetrics struct {
-	name    string
-	latency *obs.Histogram
-	classes [4]*obs.Counter
-	recReq  string
-	recLat  string
-	recCls  [4]string
-}
-
-var statusClasses = [4]string{"2xx", "3xx", "4xx", "5xx"}
-
 // Gateway fronts a fleet of subserve replicas. Construct with New, route
 // with Handler, start health probing with Start, and drain with Close.
 type Gateway struct {
@@ -252,7 +238,9 @@ type Gateway struct {
 	stopOnce sync.Once
 	probeWG  sync.WaitGroup
 
-	endpoints map[string]*endpointMetrics
+	// endpoints is the front door's per-endpoint telemetry, the same
+	// implementation subserve uses under the subgate_http_* families.
+	endpoints *obs.EndpointTelemetry
 	mDisagree map[string]*obs.Gauge
 }
 
@@ -269,7 +257,7 @@ func New(backends []Backend, opt Options) (*Gateway, error) {
 		client:    opt.Client,
 		all:       map[string][]*replica{},
 		stop:      make(chan struct{}),
-		endpoints: map[string]*endpointMetrics{},
+		endpoints: obs.NewEndpointTelemetry(opt.Metrics, MetricHTTPRequests, MetricLatencySeconds, "gateway "),
 		mDisagree: map[string]*obs.Gauge{},
 	}
 	if g.client == nil {
@@ -392,70 +380,6 @@ func fleetFingerprint(reps []*replica) (fp uint64, known, agree bool) {
 	return fp, known, true
 }
 
-// endpoint returns (building on first use, at Handler time) the front-door
-// telemetry handles for name — same shape as serve's per-endpoint metrics.
-func (g *Gateway) endpoint(name string) *endpointMetrics {
-	if em, ok := g.endpoints[name]; ok {
-		return em
-	}
-	em := &endpointMetrics{
-		name:   name,
-		recReq: "gate/req_" + name,
-		recLat: "gate/latency_us_" + name,
-	}
-	for i, class := range statusClasses {
-		em.recCls[i] = "gate/" + name + "/" + class
-	}
-	if ms := g.opt.Metrics; ms != nil {
-		em.latency = ms.Histogram(MetricLatencySeconds, "gateway request latency by endpoint, handler entry to last byte", "endpoint", name)
-		for i, class := range statusClasses {
-			em.classes[i] = ms.Counter(MetricHTTPRequests, "gateway requests by endpoint and status class", "endpoint", name, "code", class)
-		}
-	}
-	g.endpoints[name] = em
-	return em
-}
-
-func classIndex(status int) int {
-	i := status/100 - 2
-	if i < 0 {
-		i = 0
-	}
-	if i > 3 {
-		i = 3
-	}
-	return i
-}
-
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(status int) {
-	w.status = status
-	w.ResponseWriter.WriteHeader(status)
-}
-
-// instrument wraps a handler with the per-endpoint request/latency/status
-// telemetry (the gateway-side mirror of serve.Server.instrument).
-func (g *Gateway) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
-	rec := g.opt.Recorder
-	em := g.endpoint(name)
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		rec.Add(em.recReq, 1)
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		h(sw, r)
-		el := time.Since(start)
-		rec.Observe(em.recLat, float64(el.Microseconds()))
-		ci := classIndex(sw.status)
-		rec.Add(em.recCls[ci], 1)
-		em.classes[ci].Inc()
-		em.latency.Observe(el.Seconds())
-	}
-}
-
 // Stats snapshots the gateway for the run report's "gateway" block:
 // per-backend readiness and lifetime request/failover totals plus the
 // front-door endpoint latency quantiles (nil Endpoints without a metrics
@@ -473,28 +397,7 @@ func (g *Gateway) Stats() *obs.GatewayStats {
 			})
 		}
 	}
-	if g.opt.Metrics != nil {
-		st.Endpoints = map[string]obs.ServingEndpointStat{}
-		for name, em := range g.endpoints {
-			snap := em.latency.Snapshot()
-			ep := obs.ServingEndpointStat{
-				Requests:          map[string]int64{},
-				LatencyCount:      snap.Count,
-				LatencyP50Seconds: snap.Quantile(0.50),
-				LatencyP95Seconds: snap.Quantile(0.95),
-				LatencyP99Seconds: snap.Quantile(0.99),
-			}
-			if snap.Count > 0 {
-				ep.LatencyMeanSeconds = snap.Sum / float64(snap.Count)
-			}
-			for i, class := range statusClasses {
-				if v := em.classes[i].Value(); v > 0 {
-					ep.Requests[class] = v
-				}
-			}
-			st.Endpoints[name] = ep
-		}
-	}
+	st.Endpoints = g.endpoints.Stats()
 	return st
 }
 

@@ -21,13 +21,13 @@ import (
 // registry is configured.
 func (g *Gateway) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", g.instrument("healthz", g.handleHealthz))
-	mux.HandleFunc("/readyz", g.instrument("readyz", g.handleReadyz))
-	mux.HandleFunc("/models", g.instrument("models", g.handleModels))
-	mux.HandleFunc("/apply", g.instrument("apply", g.handleApply))
-	mux.HandleFunc("/column", g.instrument("column", g.handleColumn))
+	mux.HandleFunc("/healthz", g.endpoints.Instrument("healthz", g.handleHealthz))
+	mux.HandleFunc("/readyz", g.endpoints.Instrument("readyz", g.handleReadyz))
+	mux.HandleFunc("/models", g.endpoints.Instrument("models", g.handleModels))
+	mux.HandleFunc("/apply", g.endpoints.Instrument("apply", g.handleApply))
+	mux.HandleFunc("/column", g.endpoints.Instrument("column", g.handleColumn))
 	if g.opt.Metrics != nil {
-		mux.HandleFunc("/metrics", g.instrument("metrics", func(w http.ResponseWriter, r *http.Request) {
+		mux.HandleFunc("/metrics", g.endpoints.Instrument("metrics", func(w http.ResponseWriter, r *http.Request) {
 			g.opt.Metrics.WritePrometheus(w)
 		}))
 	}

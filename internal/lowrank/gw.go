@@ -16,7 +16,7 @@ import (
 func (tr *Transformed) assembleGw(level2 map[int]*sweepSquare) {
 	r := tr.Rep
 	n := r.Layout.N()
-	asp := r.Opt.Trace.Begin("lowrank/gw_assembly").Arg("n", n)
+	asp := r.Opt.Rec.Begin("lowrank/gw_assembly").Arg("n", n)
 	defer asp.End()
 	em := sparse.NewSymmetricBuilder(n)
 	// Per-square entry lists are computed on the worker pool and written

@@ -64,13 +64,11 @@ type Options struct {
 	// peak memory and the batch sizes the solver sees move.
 	MaxBatchBytes int64
 	// Rec, when non-nil, receives per-phase wall times and solve counters
-	// for the build and the fine-to-coarse transform. Recording never
-	// changes the representation.
+	// for the build and the fine-to-coarse transform and, when it traces,
+	// per-level and per-square spans (row_basis/respond/sweep/gw_assembly)
+	// with rank and spectrum-head args. Recording never changes the
+	// representation.
 	Rec *obs.Recorder
-	// Trace, when non-nil, receives per-level and per-square spans
-	// (row_basis/respond/sweep/gw_assembly) with rank and spectrum-head
-	// args. Tracing never changes the representation either.
-	Trace *obs.Tracer
 }
 
 // DefaultOptions returns the thesis's settings.
@@ -277,7 +275,7 @@ func Build(layout *geom.Layout, tree *quadtree.Tree, s solver.Solver, opt Option
 		// The SVDs are independent per square: fan them out.
 		levSquares := tree.SquaresAt(lev)
 		sigmas := make([][]float64, len(levSquares))
-		lsp := opt.Trace.Begin("lowrank/row_basis_level").Arg("level", lev).Arg("squares", len(levSquares))
+		lsp := opt.Rec.Begin("lowrank/row_basis_level").Arg("level", lev).Arg("squares", len(levSquares))
 		par.DoWorker(opt.Workers, len(levSquares), func(worker, i int) {
 			sq := levSquares[i]
 			sd := r.at(lev, sq.ID)
@@ -427,7 +425,7 @@ func (r *Rep) groupChunk(n, groups int) int {
 // byte budget.
 func (r *Rep) respond(s solver.Solver, lev int, batch []*pending) error {
 	defer r.Opt.Rec.Phase("lowrank/respond")()
-	rsp := r.Opt.Trace.Begin("lowrank/respond").Arg("level", lev).Arg("vectors", len(batch))
+	rsp := r.Opt.Rec.Begin("lowrank/respond").Arg("level", lev).Arg("vectors", len(batch))
 	defer rsp.End()
 	n := r.Layout.N()
 	if lev == 2 || !r.Opt.CombineSolves {
@@ -594,7 +592,7 @@ func (r *Rep) buildFinestLocal(s solver.Solver) error {
 	// W = orthogonal complement of V per square: independent SVDs, fanned
 	// out with the results committed serially in square order.
 	finest := r.Tree.SquaresAt(L)
-	wsp := r.Opt.Trace.Begin("lowrank/w_basis").Arg("level", L).Arg("squares", len(finest))
+	wsp := r.Opt.Rec.Begin("lowrank/w_basis").Arg("level", L).Arg("squares", len(finest))
 	par.DoWorker(r.Opt.Workers, len(finest), func(worker, i int) {
 		sq := finest[i]
 		sd := r.at(L, sq.ID)
@@ -702,7 +700,7 @@ func (r *Rep) buildFinestLocal(s solver.Solver) error {
 		})
 	}
 	// Local blocks (4.26): (G_Ls,s)^(f) = (G V_s)^(r)·V_sᵀ + (G W_s)^(c)·W_sᵀ.
-	bsp := r.Opt.Trace.Begin("lowrank/local_block").Arg("level", L).Arg("squares", len(finest))
+	bsp := r.Opt.Rec.Begin("lowrank/local_block").Arg("level", L).Arg("squares", len(finest))
 	par.Do(r.Opt.Workers, len(finest), func(i int) {
 		sd := r.at(L, finest[i].ID)
 		if sd == nil {

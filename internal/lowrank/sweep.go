@@ -64,7 +64,7 @@ type sweepSquare struct {
 // needed: everything comes from the row-basis representation.
 func (r *Rep) Transform() *Transformed {
 	stopSweep := r.Opt.Rec.Phase("lowrank/sweep")
-	swp := r.Opt.Trace.Begin("lowrank/sweep")
+	swp := r.Opt.Rec.Begin("lowrank/sweep")
 	tr := &Transformed{Rep: r}
 	L := r.Tree.MaxLevel
 	tr.tCols = make([][][]int, L+1)

@@ -34,7 +34,6 @@ const MetricApplySeconds = "subcouple_engine_apply_seconds"
 type Engine struct {
 	m    *Model
 	rec  *obs.Recorder
-	tr   *obs.Tracer
 	sc   *scratch
 	pool []*scratch // per-worker scratch for batched applies, grown on demand
 
@@ -133,18 +132,16 @@ func (e *Engine) Model() *Model { return e.m }
 // N returns the operator dimension.
 func (e *Engine) N() int { return e.m.N }
 
-// SetObs attaches an optional recorder (apply-phase timers and counters) and
-// tracer (per-batch spans). Nil values record nothing; observability never
-// changes apply outputs.
-func (e *Engine) SetObs(rec *obs.Recorder, tr *obs.Tracer) {
-	e.rec = rec
-	e.tr = tr
-}
+// SetRecorder implements obs.RecorderSetter: apply-phase timers and
+// counters land in rec and, on a tracing recorder, per-panel and per-batch
+// spans. A nil recorder records nothing; observability never changes apply
+// outputs.
+func (e *Engine) SetRecorder(rec *obs.Recorder) { e.rec = rec }
 
 // SetMetrics attaches the live kernel-duration histograms (MetricApplySeconds,
 // labeled with the entry-point kind). Engines sharing one registry share the
 // series — the registry hands back the same handle — so a pool aggregates
-// naturally. A nil registry leaves recording a no-op; like SetObs, metrics
+// naturally. A nil registry leaves recording a no-op; like SetRecorder, metrics
 // never change apply outputs.
 func (e *Engine) SetMetrics(ms *obs.Metrics) {
 	const help = "engine kernel duration by entry-point kind"

@@ -58,7 +58,7 @@ func (e *Engine) ApplyPanelInto(dst, x []float64, k, workers int) {
 	defer e.release()
 	defer e.rec.Phase("model/apply_panel")()
 	e.rec.Add("model/panel_cols", int64(k))
-	sp := e.tr.Begin("model/apply_panel").Arg("cols", k).Arg("workers", par.Workers(workers))
+	sp := e.rec.Begin("model/apply_panel").Arg("cols", k).Arg("workers", par.Workers(workers))
 	defer sp.End()
 	start := time.Now()
 	e.panelRun(dst, x, e.m.Gw, k, workers, sp)
@@ -74,7 +74,7 @@ func (e *Engine) ApplyPanelThresholdedInto(dst, x []float64, k, workers int) {
 	defer e.release()
 	defer e.rec.Phase("model/apply_panel")()
 	e.rec.Add("model/panel_cols", int64(k))
-	sp := e.tr.Begin("model/apply_panel").Arg("cols", k).Arg("workers", par.Workers(workers))
+	sp := e.rec.Begin("model/apply_panel").Arg("cols", k).Arg("workers", par.Workers(workers))
 	defer sp.End()
 	start := time.Now()
 	e.panelRun(dst, x, e.m.Gwt, k, workers, sp)
@@ -382,7 +382,7 @@ func (e *Engine) ApplyBatchInto(dst, xs [][]float64, workers int) {
 	}
 	defer e.rec.Phase("model/apply_batch")()
 	e.rec.Add("model/batch_cols", int64(k))
-	sp := e.tr.Begin("model/apply_batch").Arg("cols", k).Arg("workers", par.Workers(workers))
+	sp := e.rec.Begin("model/apply_batch").Arg("cols", k).Arg("workers", par.Workers(workers))
 	defer sp.End()
 	start := time.Now()
 	e.panelRun(py, px, e.m.Gw, k, workers, sp)

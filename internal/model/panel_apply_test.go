@@ -182,16 +182,15 @@ func TestColumnPanicLeavesUnitClean(t *testing.T) {
 	}
 }
 
-// TestColumnRecorderKeys pins the column-path instrumentation: subserve's
-// /column traffic used to be invisible in run reports because the column
-// applies recorded no phase or counter. Every column entry point must now
-// show up under the model/column phase and model/columns counter, and the
+// TestColumnRecorderKeys pins the engine's column-path instrumentation:
+// every column entry point shows up under the model/column phase and
+// model/columns counter of the recorder attached with SetRecorder, and the
 // panel path under model/apply_panel + model/panel_cols.
 func TestColumnRecorderKeys(t *testing.T) {
 	res := extract256(t, core.LowRank)
 	eng := model.NewEngine(res.Model())
 	rec := obs.NewRecorder()
-	eng.SetObs(rec, nil)
+	eng.SetRecorder(rec)
 	n := res.N()
 	dst := make([]float64, n)
 	eng.ColumnInto(dst, 0)

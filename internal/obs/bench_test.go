@@ -22,7 +22,7 @@ func BenchmarkRecorderOverhead(b *testing.B) {
 }
 
 func BenchmarkSpanOverhead(b *testing.B) {
-	run := func(b *testing.B, tr *Tracer) {
+	run := func(b *testing.B, tr *Recorder) {
 		b.ReportAllocs()
 		root := tr.Begin("root")
 		for i := 0; i < b.N; i++ {
@@ -31,6 +31,7 @@ func BenchmarkSpanOverhead(b *testing.B) {
 		root.End()
 	}
 	b.Run("nil", func(b *testing.B) { run(b, nil) })
+	b.Run("untraced", func(b *testing.B) { run(b, NewRecorder()) })
 	// Unbounded enough that End never hits the drop path during the run.
-	b.Run("live", func(b *testing.B) { run(b, NewTracer(1<<30)) })
+	b.Run("live", func(b *testing.B) { run(b, NewTracingRecorder(1<<30)) })
 }

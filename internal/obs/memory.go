@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -68,15 +69,35 @@ func (h *HeapSampler) Stop() uint64 {
 
 // PeakRSS returns the process's peak resident set size in bytes, read from
 // the kernel's VmHWM high-water mark (Linux /proc/self/status). Unlike the
-// heap sampler it cannot miss a transient peak, but it is process-lifetime
-// monotone: attribute per-region growth by differencing successive reads.
-// ok is false when the platform does not expose it.
+// heap sampler it cannot miss a transient peak, but the mark only rises:
+// call ResetPeakRSS before a measured region so the read after it is that
+// region's peak rather than the process lifetime's. ok is false when the
+// platform does not expose it.
 func PeakRSS() (bytes_ uint64, ok bool) {
 	data, err := os.ReadFile("/proc/self/status")
 	if err != nil {
 		return 0, false
 	}
 	return parseVmHWM(data)
+}
+
+// ResetPeakRSS returns as much memory as possible to the OS
+// (debug.FreeOSMemory, which also collects the heap) and then resets the
+// kernel's VmHWM high-water mark to the current RSS by writing "5" to
+// /proc/self/clear_refs (Linux). It reports whether the reset happened; when
+// it did not, a later PeakRSS read is still the lifetime peak and must not
+// be reported as the region's.
+func ResetPeakRSS() bool {
+	debug.FreeOSMemory()
+	f, err := os.OpenFile("/proc/self/clear_refs", os.O_WRONLY, 0)
+	if err != nil {
+		return false
+	}
+	_, err = f.WriteString("5")
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err == nil
 }
 
 // parseVmHWM extracts the "VmHWM: <n> kB" line from a /proc status blob.

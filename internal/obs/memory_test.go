@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"os"
 	"runtime"
 	"testing"
 	"time"
@@ -59,5 +60,39 @@ func TestPeakRSS(t *testing.T) {
 		}
 	} else if ok && rss == 0 {
 		t.Fatalf("PeakRSS reported ok with zero value")
+	}
+}
+
+// TestResetPeakRSS pins the per-region peak: after a transient 64 MB
+// allocation has raised VmHWM and been freed, ResetPeakRSS brings the mark
+// back down to the (smaller) current RSS. Skips where /proc/self/clear_refs
+// is not writable.
+func TestResetPeakRSS(t *testing.T) {
+	f, err := os.OpenFile("/proc/self/clear_refs", os.O_WRONLY, 0)
+	if err != nil {
+		t.Skipf("/proc/self/clear_refs not writable: %v", err)
+	}
+	f.Close()
+	const size = 64 << 20
+	func() {
+		big := make([]byte, size)
+		for i := 0; i < len(big); i += 4096 {
+			big[i] = 1 // touch every page so it is resident
+		}
+		runtime.KeepAlive(big)
+	}()
+	high, ok := PeakRSS()
+	if !ok {
+		t.Skip("no VmHWM on this platform")
+	}
+	if !ResetPeakRSS() {
+		t.Fatal("ResetPeakRSS failed although clear_refs is writable")
+	}
+	low, ok := PeakRSS()
+	if !ok {
+		t.Fatal("PeakRSS unreadable after reset")
+	}
+	if low+size/2 > high {
+		t.Fatalf("peak RSS %d bytes after reset, %d before: the freed %d-byte allocation still counts", low, high, size)
 	}
 }

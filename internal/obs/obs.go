@@ -1,18 +1,21 @@
 // Package obs is the extraction pipeline's zero-dependency observability
 // layer: phase-scoped wall timers, monotonic counters, fixed-bucket
-// histograms and numerical-health stats collected behind a *Recorder, plus
-// per-event spans behind a *Tracer (trace.go). Every method is safe on a
-// nil receiver and becomes a no-op, so instrumented code paths carry a
-// recorder and tracer unconditionally and pay near-zero overhead when
-// observability is off (measured, not asserted: see BenchmarkRecorderOverhead
-// and BenchmarkSpanOverhead).
+// histograms, numerical-health stats and — when built with
+// NewTracingRecorder — a bounded buffer of per-event spans (trace.go), all
+// behind one *Recorder. Every method is safe on a nil receiver and becomes
+// a no-op, so instrumented code paths carry a recorder unconditionally and
+// pay near-zero overhead when observability is off (measured, not asserted:
+// see BenchmarkRecorderOverhead and BenchmarkSpanOverhead).
 // Recording never influences the computation it observes — extraction
-// outputs are bitwise identical with a recorder on or off (enforced by the
-// core determinism suite).
+// outputs are bitwise identical with a recorder on or off, tracing or not
+// (enforced by the core determinism suite).
 //
 // The recorder is safe for concurrent use: batched solves observe their
 // iteration counts from the worker pool. Phase timers may nest and repeat;
 // each phase accumulates inclusive wall time and a call count.
+//
+// The serving daemons do not use a Recorder: their telemetry is the live
+// Prometheus registry in metrics.go.
 package obs
 
 import (
@@ -43,6 +46,9 @@ type Recorder struct {
 	resids map[string]*valueAcc
 	ranks  map[string]*histAcc
 	drops  map[string]int64
+
+	// spans is the span buffer of a tracing recorder (nil otherwise).
+	spans *spanBuf
 }
 
 type phaseAcc struct {
@@ -66,7 +72,8 @@ type valueAcc struct {
 	last     float64
 }
 
-// NewRecorder returns an empty recorder.
+// NewRecorder returns an empty recorder without span tracing (see
+// NewTracingRecorder).
 func NewRecorder() *Recorder {
 	return &Recorder{
 		phases: map[string]*phaseAcc{},
@@ -183,9 +190,10 @@ func (r *Recorder) Rank(name string, rank int) {
 	r.mu.Unlock()
 }
 
-// Drop adds to a named numerics drop counter (truncated spectra, spans that
-// missed the trace buffer, ...). Recording zero still registers the key, so
-// "nothing was dropped" is visible in the report.
+// Drop adds to a named numerics drop counter (truncated spectra, ...).
+// Recording zero still registers the key, so "nothing was dropped" is
+// visible in the report. A tracing recorder keeps its own
+// "obs/spans_dropped" counter (see Numerics).
 func (r *Recorder) Drop(name string, delta int64) {
 	if r == nil {
 		return
@@ -242,7 +250,9 @@ func (h *histAcc) stat() HistStat {
 }
 
 // Numerics returns an immutable copy of the numerical-health telemetry
-// recorded so far: residual stats, rank histograms, and drop counters. The
+// recorded so far: residual stats, rank histograms, and drop counters. A
+// tracing recorder adds "obs/spans_dropped", the spans that missed its
+// buffer, so a trace that lost spans is labeled as such in the report. The
 // result is never nil for a non-nil recorder — an empty section still
 // serializes, which is what distinguishes "nothing recorded" from "not a
 // v2 report".
@@ -272,6 +282,9 @@ func (r *Recorder) Numerics() *Numerics {
 	for name, v := range r.drops {
 		n.Drops[name] = v
 	}
+	if r.spans != nil {
+		n.Drops["obs/spans_dropped"] = r.spans.dropped.Load()
+	}
 	return n
 }
 
@@ -291,8 +304,9 @@ func formatBound(v float64) string {
 	return string(digits[i:])
 }
 
-// RecorderSetter is implemented by solvers (fd, bem) and adapters that can
-// report into a recorder. core.Extract wires its Options.Recorder through
+// RecorderSetter is implemented by solvers (fd, bem), adapters and apply
+// engines that can report into a recorder — phases, counters and, on a
+// tracing recorder, spans. core.Extract wires its Options.Recorder through
 // this interface, so instrumented solvers need no extra plumbing.
 type RecorderSetter interface {
 	SetRecorder(*Recorder)

@@ -156,6 +156,22 @@ type RunReport struct {
 	Gateway *GatewayStats `json:"gateway,omitempty"`
 }
 
+// NewServingReport returns the report a serving daemon (tool "subserve" or
+// "subgate") writes on shutdown, before its serving or gateway block is
+// attached. A daemon performs no extraction and records its telemetry only
+// in Metrics, so the obs and numerics sections are present but empty.
+func NewServingReport(tool string, config map[string]any) *RunReport {
+	return &RunReport{
+		Schema:  ReportSchema,
+		Tool:    tool,
+		Config:  config,
+		Results: map[string]any{},
+		Obs:     Snapshot{Phases: []PhaseStat{}, Counters: map[string]int64{}, Histograms: map[string]HistStat{}},
+		Numerics: &Numerics{Residuals: map[string]ValueStat{}, Ranks: map[string]HistStat{},
+			Drops: map[string]int64{}},
+	}
+}
+
 // MarshalIndent renders the report as stable, human-diffable JSON.
 func (r *RunReport) MarshalIndent() ([]byte, error) {
 	b, err := json.MarshalIndent(r, "", "  ")

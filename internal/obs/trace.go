@@ -6,23 +6,27 @@ import (
 	"time"
 )
 
-// Tracing complements the Recorder's aggregates with per-event spans: where
-// the recorder answers "how much time did phase X take in total", the tracer
-// answers "when did each unit of work run, on which worker, nested under
-// what". Spans form a tree (parent/child links) and carry a track id — track
-// 0 is the issuing goroutine ("main"), tracks >= 1 are worker-pool slots —
-// so the exported trace (see traceexport.go) shows the pool's actual overlap
-// in Perfetto / chrome://tracing.
+// Span tracing complements the Recorder's aggregates with per-event spans:
+// where a phase answers "how much time did X take in total", the span
+// buffer answers "when did each unit of work run, on which worker, nested
+// under what". Spans form a tree (parent/child links) and carry a track id —
+// track 0 is the issuing goroutine ("main"), tracks >= 1 are worker-pool
+// slots — so the exported trace (see traceexport.go) shows the pool's actual
+// overlap in Perfetto / chrome://tracing.
 //
-// Like the Recorder, every method is nil-receiver-safe and a live tracer
-// never changes the computation it observes: extraction outputs are bitwise
-// identical with tracing on or off (enforced by the core determinism suite),
-// and the per-span cost is measured by BenchmarkSpanOverhead.
+// Tracing is chosen when the recorder is built: NewTracingRecorder owns a
+// bounded span buffer, NewRecorder does not, and on a recorder without one
+// (or a nil recorder) Begin returns a nil *Span whose methods are no-ops. A
+// live span buffer never changes the computation it observes: extraction
+// outputs are bitwise identical with tracing on or off (enforced by the
+// core determinism suite), and the per-span cost is measured by
+// BenchmarkSpanOverhead.
 
-// DefaultSpanCap is the span-buffer capacity used when NewTracer is given a
-// non-positive cap: generous for the repo's examples (a 256-contact
-// extraction emits a few thousand spans) while bounding memory on very
-// large runs. Overflow is never silent — see Dropped.
+// DefaultSpanCap is the span-buffer capacity used when NewTracingRecorder
+// is given a non-positive cap: generous for the repo's examples (a
+// 256-contact extraction emits a few thousand spans) while bounding memory
+// on very large runs. Overflow is never silent — see SpansDropped and the
+// "obs/spans_dropped" numerics drop counter.
 const DefaultSpanCap = 1 << 16
 
 // spanRec is one finished span in the bounded buffer.
@@ -36,10 +40,10 @@ type spanRec struct {
 	args   map[string]any
 }
 
-// Tracer collects finished spans into a bounded in-memory buffer. Begin/End
-// may be called from any goroutine; each Span must be ended by the
-// goroutine that owns it (the usual single-writer discipline).
-type Tracer struct {
+// spanBuf is a tracing recorder's bounded buffer of finished spans. It has
+// its own lock so span commits never contend with phase and counter
+// updates.
+type spanBuf struct {
 	start    time.Time
 	capacity int
 
@@ -50,21 +54,27 @@ type Tracer struct {
 	spans []spanRec
 }
 
-// NewTracer returns a tracer whose buffer holds at most capacity finished
-// spans (capacity <= 0 selects DefaultSpanCap). Spans finished after the
-// buffer is full are counted in Dropped instead of silently vanishing.
-func NewTracer(capacity int) *Tracer {
+// NewTracingRecorder returns an empty recorder that also buffers spans, at
+// most capacity finished ones (capacity <= 0 selects DefaultSpanCap). Spans
+// finished after the buffer is full are counted in SpansDropped and in the
+// "obs/spans_dropped" numerics drop counter instead of silently vanishing.
+func NewTracingRecorder(capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultSpanCap
 	}
-	return &Tracer{start: time.Now(), capacity: capacity}
+	r := NewRecorder()
+	r.spans = &spanBuf{start: time.Now(), capacity: capacity}
+	return r
 }
+
+// Tracing reports whether the recorder buffers spans.
+func (r *Recorder) Tracing() bool { return r != nil && r.spans != nil }
 
 // Span is one in-flight unit of work. A nil Span is a no-op: all methods
 // are safe to call and Child returns nil, so instrumented code threads
 // spans unconditionally.
 type Span struct {
-	t      *Tracer
+	buf    *spanBuf
 	id     int64
 	parent int64
 	track  int
@@ -74,15 +84,15 @@ type Span struct {
 }
 
 // Begin starts a root span on track 0 (the issuing goroutine's track).
-func (t *Tracer) Begin(name string) *Span { return t.BeginOn(0, name) }
+func (r *Recorder) Begin(name string) *Span { return r.BeginOn(0, name) }
 
 // BeginOn starts a root span on an explicit track. Worker-pool code uses
 // track = worker index + 1 so each pool slot renders as its own row.
-func (t *Tracer) BeginOn(track int, name string) *Span {
-	if t == nil {
+func (r *Recorder) BeginOn(track int, name string) *Span {
+	if !r.Tracing() {
 		return nil
 	}
-	return &Span{t: t, id: t.nextID.Add(1), track: track, name: name, start: time.Now()}
+	return &Span{buf: r.spans, id: r.spans.nextID.Add(1), track: track, name: name, start: time.Now()}
 }
 
 // Child starts a child span on the same track as sp.
@@ -99,8 +109,8 @@ func (sp *Span) ChildOn(track int, name string) *Span {
 	if sp == nil {
 		return nil
 	}
-	t := sp.t
-	return &Span{t: t, id: t.nextID.Add(1), parent: sp.id, track: track, name: name, start: time.Now()}
+	b := sp.buf
+	return &Span{buf: b, id: b.nextID.Add(1), parent: sp.id, track: track, name: name, start: time.Now()}
 }
 
 // Arg attaches a key/value argument to the span (rendered in the trace
@@ -117,8 +127,8 @@ func (sp *Span) Arg(key string, v any) *Span {
 	return sp
 }
 
-// End finishes the span and commits it to the tracer's buffer. If the
-// buffer is full the span is counted in Dropped instead — no silent
+// End finishes the span and commits it to the recorder's span buffer. If
+// the buffer is full the span is counted as dropped instead — no silent
 // truncation.
 func (sp *Span) End() {
 	if sp == nil {
@@ -133,46 +143,50 @@ func (sp *Span) End() {
 		dur:    time.Since(sp.start),
 		args:   sp.args,
 	}
-	t := sp.t
-	t.mu.Lock()
-	if len(t.spans) < t.capacity {
-		t.spans = append(t.spans, rec)
-		t.mu.Unlock()
+	b := sp.buf
+	b.mu.Lock()
+	if len(b.spans) < b.capacity {
+		b.spans = append(b.spans, rec)
+		b.mu.Unlock()
 		return
 	}
-	t.mu.Unlock()
-	t.dropped.Add(1)
+	b.mu.Unlock()
+	b.dropped.Add(1)
 }
 
-// Dropped returns how many finished spans did not fit in the buffer.
-func (t *Tracer) Dropped() int64 {
-	if t == nil {
+// SpansDropped returns how many finished spans did not fit in the buffer.
+func (r *Recorder) SpansDropped() int64 {
+	if !r.Tracing() {
 		return 0
 	}
-	return t.dropped.Load()
+	return r.spans.dropped.Load()
 }
 
 // SpanCount returns the number of spans committed to the buffer so far.
-func (t *Tracer) SpanCount() int {
-	if t == nil {
+func (r *Recorder) SpanCount() int {
+	if !r.Tracing() {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.spans)
+	b := r.spans
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return len(b.spans)
 }
 
 // Tracks returns the sorted distinct track ids of the committed spans.
-func (t *Tracer) Tracks() []int {
-	if t == nil {
+func (r *Recorder) Tracks() []int {
+	if !r.Tracing() {
 		return nil
 	}
-	t.mu.Lock()
+	return tracksOf(r.spanSnapshot())
+}
+
+// tracksOf returns the sorted distinct track ids of spans.
+func tracksOf(spans []spanRec) []int {
 	seen := map[int]bool{}
-	for i := range t.spans {
-		seen[t.spans[i].track] = true
+	for i := range spans {
+		seen[spans[i].track] = true
 	}
-	t.mu.Unlock()
 	out := make([]int, 0, len(seen))
 	for tr := range seen {
 		out = append(out, tr)
@@ -185,21 +199,15 @@ func (t *Tracer) Tracks() []int {
 	return out
 }
 
-// snapshot copies the committed spans (for export and tests).
-func (t *Tracer) snapshot() []spanRec {
-	if t == nil {
+// spanSnapshot copies the committed spans (for export and tests).
+func (r *Recorder) spanSnapshot() []spanRec {
+	if !r.Tracing() {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]spanRec, len(t.spans))
-	copy(out, t.spans)
+	b := r.spans
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	out := make([]spanRec, len(b.spans))
+	copy(out, b.spans)
 	return out
-}
-
-// TracerSetter is implemented by solvers and adapters that can emit spans.
-// core.Extract wires its Options.Tracer through this interface, mirroring
-// RecorderSetter.
-type TracerSetter interface {
-	SetTracer(*Tracer)
 }

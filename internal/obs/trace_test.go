@@ -6,35 +6,47 @@ import (
 	"testing"
 )
 
+// TestNilTracerIsNoOp: a nil recorder and a recorder built without tracing
+// both hand out nil spans, report no span data, still marshal a well-formed
+// empty trace, and (non-tracing) carry no spans_dropped drop counter.
 func TestNilTracerIsNoOp(t *testing.T) {
-	var tr *Tracer
-	sp := tr.Begin("anything")
-	if sp != nil {
-		t.Fatalf("nil tracer returned a span")
-	}
-	// Every span method must be callable on the nil result.
-	sp.Arg("k", 1).End()
-	if c := sp.Child("child"); c != nil {
-		t.Fatalf("nil span produced a child")
-	}
-	if c := sp.ChildOn(3, "child"); c != nil {
-		t.Fatalf("nil span produced a child on a track")
-	}
-	if tr.SpanCount() != 0 || tr.Dropped() != 0 || tr.Tracks() != nil {
-		t.Fatalf("nil tracer reported data")
-	}
-	b, err := tr.MarshalTrace()
-	if err != nil {
-		t.Fatalf("nil tracer marshal: %v", err)
-	}
-	var doc map[string]json.RawMessage
-	if err := json.Unmarshal(b, &doc); err != nil {
-		t.Fatalf("nil tracer trace is not valid JSON: %v", err)
+	for _, r := range []*Recorder{nil, NewRecorder()} {
+		if r.Tracing() {
+			t.Fatalf("recorder %v claims to trace", r)
+		}
+		sp := r.Begin("anything")
+		if sp != nil {
+			t.Fatalf("non-tracing recorder returned a span")
+		}
+		// Every span method must be callable on the nil result.
+		sp.Arg("k", 1).End()
+		if c := sp.Child("child"); c != nil {
+			t.Fatalf("nil span produced a child")
+		}
+		if c := sp.ChildOn(3, "child"); c != nil {
+			t.Fatalf("nil span produced a child on a track")
+		}
+		if r.SpanCount() != 0 || r.SpansDropped() != 0 || r.Tracks() != nil {
+			t.Fatalf("non-tracing recorder reported span data")
+		}
+		b, err := r.MarshalTrace()
+		if err != nil {
+			t.Fatalf("non-tracing marshal: %v", err)
+		}
+		var doc map[string]json.RawMessage
+		if err := json.Unmarshal(b, &doc); err != nil {
+			t.Fatalf("non-tracing trace is not valid JSON: %v", err)
+		}
+		if n := r.Numerics(); n != nil {
+			if _, ok := n.Drops["obs/spans_dropped"]; ok {
+				t.Fatalf("non-tracing recorder reports obs/spans_dropped")
+			}
+		}
 	}
 }
 
 func TestSpanTreeAndTracks(t *testing.T) {
-	tr := NewTracer(0)
+	tr := NewTracingRecorder(0)
 	root := tr.Begin("root").Arg("contacts", 256)
 	c1 := root.ChildOn(1, "work").Arg("square", 7)
 	c1.End()
@@ -50,7 +62,7 @@ func TestSpanTreeAndTracks(t *testing.T) {
 	if got := tr.Tracks(); len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
 		t.Fatalf("tracks = %v, want [0 1 2]", got)
 	}
-	spans := tr.snapshot()
+	spans := tr.spanSnapshot()
 	byName := map[string][]spanRec{}
 	for _, sp := range spans {
 		byName[sp.name] = append(byName[sp.name], sp)
@@ -74,15 +86,25 @@ func TestSpanTreeAndTracks(t *testing.T) {
 }
 
 func TestTracerDropsBeyondCapacityExplicitly(t *testing.T) {
-	tr := NewTracer(3)
+	tr := NewTracingRecorder(3)
+	if got := tr.Numerics().Drops["obs/spans_dropped"]; got != 0 {
+		t.Fatalf("fresh recorder spans_dropped = %d, want 0", got)
+	}
+	if _, ok := tr.Numerics().Drops["obs/spans_dropped"]; !ok {
+		t.Fatalf("tracing recorder does not register obs/spans_dropped before any drop")
+	}
 	for i := 0; i < 10; i++ {
 		tr.Begin("s").End()
 	}
 	if got := tr.SpanCount(); got != 3 {
 		t.Fatalf("span count = %d, want capacity 3", got)
 	}
-	if got := tr.Dropped(); got != 7 {
+	if got := tr.SpansDropped(); got != 7 {
 		t.Fatalf("dropped = %d, want 7", got)
+	}
+	// The recorder's own drop accounting lands in the report's numerics.
+	if got := tr.Numerics().Drops["obs/spans_dropped"]; got != 7 {
+		t.Fatalf("numerics obs/spans_dropped = %d, want 7", got)
 	}
 	// The export labels the loss instead of hiding it.
 	b, err := tr.MarshalTrace()
@@ -101,7 +123,7 @@ func TestTracerDropsBeyondCapacityExplicitly(t *testing.T) {
 }
 
 func TestTracerConcurrentUse(t *testing.T) {
-	tr := NewTracer(0)
+	tr := NewTracingRecorder(0)
 	root := tr.Begin("root")
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -127,7 +149,7 @@ func TestTracerConcurrentUse(t *testing.T) {
 // format: per-track thread metadata first, then one complete event per span
 // with microsecond timestamps and parent links in args.
 func TestMarshalTraceEventShape(t *testing.T) {
-	tr := NewTracer(0)
+	tr := NewTracingRecorder(0)
 	root := tr.Begin("core/extract")
 	root.ChildOn(1, "solver/solve").Arg("rhs", 0).End()
 	root.End()

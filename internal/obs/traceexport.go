@@ -7,11 +7,11 @@ import (
 	"sort"
 )
 
-// Trace export: the tracer's span buffer rendered as Chrome trace-event
-// JSON (the "JSON Array Format" with an object wrapper), loadable in
-// Perfetto (https://ui.perfetto.dev) and chrome://tracing. Each span
-// becomes one complete ("ph":"X") event; its track id becomes the tid, so
-// worker overlap is visible as parallel rows. Parent/child links are
+// Trace export: a tracing recorder's span buffer rendered as Chrome
+// trace-event JSON (the "JSON Array Format" with an object wrapper),
+// loadable in Perfetto (https://ui.perfetto.dev) and chrome://tracing. Each
+// span becomes one complete ("ph":"X") event; its track id becomes the tid,
+// so worker overlap is visible as parallel rows. Parent/child links are
 // carried in args ("span_id"/"parent_id") — within a track the viewer also
 // nests spans by time containment.
 
@@ -42,12 +42,10 @@ func trackName(track int) string {
 }
 
 // MarshalTrace renders the committed spans as Chrome trace-event JSON. A
-// nil tracer marshals as an empty (but still well-formed) trace.
-func (t *Tracer) MarshalTrace() ([]byte, error) {
-	if t == nil {
-		t = NewTracer(1)
-	}
-	spans := t.snapshot()
+// nil or non-tracing recorder marshals as an empty (but still well-formed)
+// trace.
+func (r *Recorder) MarshalTrace() ([]byte, error) {
+	spans := r.spanSnapshot()
 	// Chronological order reads naturally and keeps the output stable for a
 	// given run; ties (same start) break by span id.
 	sort.Slice(spans, func(i, j int) bool {
@@ -60,7 +58,7 @@ func (t *Tracer) MarshalTrace() ([]byte, error) {
 	events := make([]traceEvent, 0, len(spans)+8)
 	// Thread metadata first: name each used track and sort main above the
 	// workers.
-	for _, track := range t.Tracks() {
+	for _, track := range tracksOf(spans) {
 		events = append(events,
 			traceEvent{Name: "thread_name", Ph: "M", Pid: 1, Tid: track,
 				Args: map[string]any{"name": trackName(track)}},
@@ -81,7 +79,7 @@ func (t *Tracer) MarshalTrace() ([]byte, error) {
 		events = append(events, traceEvent{
 			Name: sp.name,
 			Ph:   "X",
-			Ts:   float64(sp.start.Sub(t.start).Nanoseconds()) / 1e3,
+			Ts:   float64(sp.start.Sub(r.spans.start).Nanoseconds()) / 1e3,
 			Dur:  float64(sp.dur.Nanoseconds()) / 1e3,
 			Pid:  1,
 			Tid:  sp.track,
@@ -93,7 +91,7 @@ func (t *Tracer) MarshalTrace() ([]byte, error) {
 		DisplayTimeUnit: "ms",
 		OtherData: map[string]any{
 			"spans":         len(spans),
-			"spans_dropped": t.Dropped(),
+			"spans_dropped": r.SpansDropped(),
 		},
 	}
 	b, err := json.MarshalIndent(&doc, "", " ")
@@ -104,8 +102,8 @@ func (t *Tracer) MarshalTrace() ([]byte, error) {
 }
 
 // WriteTrace writes the trace-event JSON to w.
-func (t *Tracer) WriteTrace(w io.Writer) error {
-	b, err := t.MarshalTrace()
+func (r *Recorder) WriteTrace(w io.Writer) error {
+	b, err := r.MarshalTrace()
 	if err != nil {
 		return err
 	}

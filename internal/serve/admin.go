@@ -26,7 +26,7 @@ const maxArtifactBytes = 256 << 20
 // is read. Fleet operators front this with their own authenticated channel
 // (SSH, a sidecar) rather than exposing it.
 func (s *Server) adminOnly(name string, h http.HandlerFunc) http.HandlerFunc {
-	return s.instrument(name, func(w http.ResponseWriter, r *http.Request) {
+	return s.endpoints.Instrument(name, func(w http.ResponseWriter, r *http.Request) {
 		if !isLoopback(r.RemoteAddr) {
 			http.Error(w, "admin endpoints accept loopback peers only", http.StatusForbidden)
 			return

@@ -19,8 +19,8 @@ import (
 // and pool/admission timeouts are 503 (retryable elsewhere), recovered
 // panics on the hot path are 500 (a server fault, not the caller's),
 // everything else is a 400-class caller problem. The per-status-class
-// counters in instrument pick up the split, so client errors can't mask
-// server faults the way the old single serve/errors counter let them.
+// counters of the endpoint telemetry pick up the split, so client errors
+// can't mask server faults behind one shared errors count.
 func (s *Server) applyError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, registry.ErrClosed), errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):

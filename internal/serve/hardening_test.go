@@ -36,16 +36,6 @@ func privateModel(t *testing.T, method core.Method) *model.Model {
 	return m
 }
 
-// phaseCalls pulls one phase's call count out of a recorder snapshot.
-func phaseCalls(snap obs.Snapshot, name string) int64 {
-	for _, p := range snap.Phases {
-		if p.Name == name {
-			return p.Calls
-		}
-	}
-	return 0
-}
-
 // TestFlushPanicRecovery pins the batcher's panic backstop: a request that
 // makes the engine panic mid-flush (simulated here by corrupting the shared
 // model's structure) must come back as an error — not kill the daemon, not
@@ -54,10 +44,10 @@ func phaseCalls(snap obs.Snapshot, name string) int64 {
 // bitwise-correct results.
 func TestFlushPanicRecovery(t *testing.T) {
 	m := privateModel(t, core.LowRank)
-	p := registry.NewPool(m, 1, nil, nil)
+	p := registry.NewPool(m, 1)
 	// A wide window so the two concurrent requests below fuse into one
 	// flush and exercise the panel path, not just the k == 1 case.
-	b := registry.NewBatcher(p, 200*time.Millisecond, 4, 1, nil, nil)
+	b := registry.NewBatcher(p, 200*time.Millisecond, 4, 1)
 	defer b.Close()
 
 	saved := m.Gw.ColIdx[0]
@@ -146,9 +136,9 @@ func TestColumnAndFingerprintPanicRecovery(t *testing.T) {
 func TestThresholdedCoalescing(t *testing.T) {
 	const clients = 6
 	m := testModel(t, core.LowRank)
-	rec := obs.NewRecorder()
+	ms := obs.NewMetrics()
 	s := serve.New(serve.Options{
-		PoolSize: 1, Window: 500 * time.Millisecond, MaxBatch: clients, Workers: 2, Recorder: rec,
+		PoolSize: 1, Window: 500 * time.Millisecond, MaxBatch: clients, Workers: 2, Metrics: ms,
 	})
 	if err := s.AddModel("m", m); err != nil {
 		t.Fatal(err)
@@ -171,19 +161,18 @@ func TestThresholdedCoalescing(t *testing.T) {
 	for c := 0; c < clients; c++ {
 		bitwiseEqual(t, fmt.Sprintf("thresholded client %d", c), results[c], direct(m, probeVec(m.N, c), true))
 	}
-	bs, ok := rec.Snapshot().Histograms["serve/batch_size"]
-	if !ok || bs.Max < 2 {
-		t.Fatalf("thresholded requests never coalesced (histogram %+v)", bs)
+	if flushes, cols := batchSizes(ms, "m"); cols != clients || flushes >= clients {
+		t.Fatalf("thresholded requests never coalesced (%d flushes carried %.0f requests)", flushes, cols)
 	}
 }
 
-// TestColumnRecorderKeysOverHTTP pins the serving-path observability keys
-// end to end: one /column request lands in the model/column phase and the
-// model/columns counter of the daemon's recorder.
-func TestColumnRecorderKeysOverHTTP(t *testing.T) {
+// TestColumnTelemetryOverHTTP pins the serving-path column telemetry end to
+// end: one /column request lands in the engine's column kernel histogram
+// and in the column endpoint's 2xx count and latency.
+func TestColumnTelemetryOverHTTP(t *testing.T) {
 	m := testModel(t, core.LowRank)
-	rec := obs.NewRecorder()
-	_, ts, name := newTestServer(t, m, serve.Options{PoolSize: 1, Recorder: rec})
+	ms := obs.NewMetrics()
+	s, ts, name := newTestServer(t, m, serve.Options{PoolSize: 1, Metrics: ms})
 
 	resp, err := http.Get(ts.URL + "/column?model=" + name + "&j=5")
 	if err != nil {
@@ -194,15 +183,12 @@ func TestColumnRecorderKeysOverHTTP(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/column: %d", resp.StatusCode)
 	}
-	snap := rec.Snapshot()
-	if got := phaseCalls(snap, "model/column"); got != 1 {
-		t.Fatalf("model/column phase calls = %d, want 1", got)
+	if got := ms.Histogram(model.MetricApplySeconds, "", "kind", "column").Count(); got != 1 {
+		t.Fatalf("column kernel samples = %d, want 1", got)
 	}
-	if got := snap.Counters["model/columns"]; got != 1 {
-		t.Fatalf("model/columns counter = %d, want 1", got)
-	}
-	if got := snap.Counters["serve/req_column"]; got != 1 {
-		t.Fatalf("serve/req_column counter = %d, want 1", got)
+	col := s.ServingStats().Endpoints["column"]
+	if col.Requests["2xx"] != 1 || col.LatencyCount != 1 {
+		t.Fatalf("column endpoint telemetry = %+v, want one 2xx request", col)
 	}
 }
 

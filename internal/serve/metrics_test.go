@@ -91,15 +91,14 @@ func TestMetricsDoNotChangeOutputs(t *testing.T) {
 	}
 }
 
-// TestStatusClassCounters pins the satellite contract that replaced the lone
-// serve/errors counter: a 2xx apply, a 400 dimension error and a
-// recovered-panic 500 land in three different per-endpoint counters, in both
-// the recorder and the live registry (and the panic answers 500, not 400).
+// TestStatusClassCounters pins the per-status-class request counters: a 2xx
+// apply, a 400 dimension error and a recovered-panic 500 land in three
+// different per-endpoint series, both on the scrape and in the serving
+// block (and the panic answers 500, not 400).
 func TestStatusClassCounters(t *testing.T) {
 	m := privateModel(t, core.LowRank)
-	rec := obs.NewRecorder()
 	ms := obs.NewMetrics()
-	s := serve.New(serve.Options{PoolSize: 1, Recorder: rec, Metrics: ms, Timeout: 10 * time.Second})
+	s := serve.New(serve.Options{PoolSize: 1, Metrics: ms, Timeout: 10 * time.Second})
 	if err := s.AddModel("m", m); err != nil {
 		t.Fatal(err)
 	}
@@ -136,14 +135,10 @@ func TestStatusClassCounters(t *testing.T) {
 		t.Fatalf("poisoned apply: %d %q, want 500 naming the panic", status, body)
 	}
 
-	counters := rec.Snapshot().Counters
-	for key, want := range map[string]int64{
-		"serve/apply/2xx": 1,
-		"serve/apply/4xx": 1,
-		"serve/apply/5xx": 1,
-	} {
-		if counters[key] != want {
-			t.Errorf("recorder %s = %d, want %d (all: %v)", key, counters[key], want, counters)
+	out := scrape(t, ts)
+	for _, class := range []string{"2xx", "4xx", "5xx"} {
+		if want := serve.MetricHTTPRequests + `{code="` + class + `",endpoint="apply"} 1`; !strings.Contains(out, want) {
+			t.Errorf("scrape missing %q", want)
 		}
 	}
 	stats := s.ServingStats()
@@ -314,10 +309,9 @@ func TestReadyzShedAndRecover(t *testing.T) {
 func TestMetricsDuringDrain(t *testing.T) {
 	const clients = 4
 	m := testModel(t, core.LowRank)
-	rec := obs.NewRecorder()
 	ms := obs.NewMetrics()
 	s := serve.New(serve.Options{
-		PoolSize: 2, Window: 10 * time.Second, MaxBatch: 64, Recorder: rec, Metrics: ms,
+		PoolSize: 2, Window: 10 * time.Second, MaxBatch: 64, Metrics: ms,
 	})
 	if err := s.AddModel("m", m); err != nil {
 		t.Fatal(err)
@@ -379,15 +373,8 @@ drain:
 	if got := stats.Endpoints["apply"].Requests["2xx"]; got != clients {
 		t.Errorf("serving block apply/2xx = %d, want %d", got, clients)
 	}
-	rep := &obs.RunReport{
-		Schema:   obs.ReportSchema,
-		Tool:     "subserve",
-		Config:   map[string]any{},
-		Results:  map[string]any{},
-		Obs:      rec.Snapshot(),
-		Numerics: rec.Numerics(),
-		Serving:  stats,
-	}
+	rep := obs.NewServingReport("subserve", map[string]any{})
+	rep.Serving = stats
 	data, err := rep.MarshalIndent()
 	if err != nil {
 		t.Fatal(err)

@@ -43,8 +43,6 @@ type Batcher struct {
 	window   time.Duration
 	maxBatch int
 	workers  int
-	rec      *obs.Recorder
-	tr       *obs.Tracer
 
 	reqs    chan *applyReq
 	idle    chan struct{} // closed when the collector exits
@@ -78,7 +76,7 @@ type applyReq struct {
 // NewBatcher starts the collector for pool with the given coalescing window
 // (0 flushes immediately, still fusing whatever is already queued), batch
 // bound (<= 0 selects DefaultMaxBatch) and engine worker count.
-func NewBatcher(pool *Pool, window time.Duration, maxBatch, workers int, rec *obs.Recorder, tr *obs.Tracer) *Batcher {
+func NewBatcher(pool *Pool, window time.Duration, maxBatch, workers int) *Batcher {
 	if maxBatch <= 0 {
 		maxBatch = DefaultMaxBatch
 	}
@@ -87,8 +85,6 @@ func NewBatcher(pool *Pool, window time.Duration, maxBatch, workers int, rec *ob
 		window:   window,
 		maxBatch: maxBatch,
 		workers:  workers,
-		rec:      rec,
-		tr:       tr,
 		reqs:     make(chan *applyReq, 2*maxBatch),
 		idle:     make(chan struct{}),
 	}
@@ -264,16 +260,12 @@ func (b *Batcher) flush(batch []*applyReq) {
 			return err
 		}
 		defer b.pool.Put(eng)
-		b.rec.Add("serve/batches", 1)
-		b.rec.Observe("serve/batch_size", float64(len(batch)))
 		b.mFlushes.Inc()
 		b.mBatch.Observe(float64(len(batch)))
 		now := time.Now()
 		for _, r := range batch {
 			b.mWait.Observe(now.Sub(r.enq).Seconds())
 		}
-		sp := b.tr.Begin("serve/flush").Arg("cols", len(batch))
-		defer sp.End()
 		if len(batch) == 1 {
 			r := batch[0]
 			if r.thresholded {

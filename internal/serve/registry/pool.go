@@ -17,7 +17,6 @@ type Pool struct {
 	m       *model.Model
 	engines chan *model.Engine
 	size    int
-	rec     *obs.Recorder
 
 	// inUse tracks checked-out engines for the saturation gauge and the
 	// queue-depth-aware /readyz; it is maintained whether or not a metrics
@@ -31,14 +30,11 @@ type Pool struct {
 }
 
 // NewPool builds size engines over m (size <= 0 selects runtime.NumCPU()).
-// The recorder and tracer are attached to every engine and may be nil.
-func NewPool(m *model.Model, size int, rec *obs.Recorder, tr *obs.Tracer) *Pool {
+func NewPool(m *model.Model, size int) *Pool {
 	size = par.Workers(size)
-	p := &Pool{m: m, engines: make(chan *model.Engine, size), size: size, rec: rec}
+	p := &Pool{m: m, engines: make(chan *model.Engine, size), size: size}
 	for i := 0; i < size; i++ {
-		e := model.NewEngine(m)
-		e.SetObs(rec, tr)
-		p.engines <- e
+		p.engines <- model.NewEngine(m)
 	}
 	return p
 }
@@ -87,12 +83,10 @@ func (p *Pool) Get(ctx context.Context) (*model.Engine, error) {
 	start := time.Now()
 	select {
 	case e := <-p.engines:
-		p.rec.Observe("serve/pool_wait_us", float64(time.Since(start).Microseconds()))
 		p.mWait.Observe(time.Since(start).Seconds())
 		p.checkout()
 		return e, nil
 	case <-ctx.Done():
-		p.rec.Add("serve/pool_timeouts", 1)
 		p.mTimeouts.Inc()
 		return nil, ctx.Err()
 	}

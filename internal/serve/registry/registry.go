@@ -99,11 +99,8 @@ type Options struct {
 	// Workers is the engine worker count for batched applies (0 = all CPUs);
 	// responses are bitwise identical for any value.
 	Workers int
-	// Recorder, Tracer and Metrics receive lifecycle + serving telemetry;
-	// all may be nil.
-	Recorder *obs.Recorder
-	Tracer   *obs.Tracer
-	Metrics  *obs.Metrics
+	// Metrics receives lifecycle + serving telemetry; it may be nil.
+	Metrics *obs.Metrics
 }
 
 // Version is one immutable content entry: a decoded, validated model plus
@@ -337,7 +334,6 @@ func (r *Registry) Load(m *model.Model) (fp uint64, created bool, err error) {
 	r.publishLocked(snap.aliases, versions)
 	r.loads.Add(1)
 	r.mLoads.Inc()
-	r.opt.Recorder.Add("registry/loads", 1)
 	return fp, true, nil
 }
 
@@ -405,7 +401,6 @@ func (r *Registry) Swap(alias string, fp uint64) (SwapResult, error) {
 	res := SwapResult{Fingerprint: fp}
 	r.swaps.Add(1)
 	r.mSwaps.Inc()
-	r.opt.Recorder.Add("registry/swaps", 1)
 	if old != nil {
 		// Drain the displaced activation outside the mutex: requests that
 		// resolved the old snapshot and were admitted complete here; later
@@ -417,19 +412,18 @@ func (r *Registry) Swap(alias string, fp uint64) (SwapResult, error) {
 		r.drainCount.Add(1)
 		r.drainNanos.Add(res.Drain.Nanoseconds())
 		r.mDrain.Observe(res.Drain.Seconds())
-		r.opt.Recorder.Observe("registry/drain_us", float64(res.Drain.Microseconds()))
 	}
 	return res, nil
 }
 
 // newActive builds one alias activation: pool, batcher, telemetry labels.
 func (r *Registry) newActive(alias string, ver *Version) *Active {
-	pool := NewPool(ver.m, r.opt.PoolSize, r.opt.Recorder, r.opt.Tracer)
+	pool := NewPool(ver.m, r.opt.PoolSize)
 	act := &Active{
 		ver:     ver,
 		alias:   alias,
 		pool:    pool,
-		batcher: NewBatcher(pool, r.opt.Window, r.opt.MaxBatch, r.opt.Workers, r.opt.Recorder, r.opt.Tracer),
+		batcher: NewBatcher(pool, r.opt.Window, r.opt.MaxBatch, r.opt.Workers),
 	}
 	if r.opt.Metrics != nil {
 		// Successive activations of the same alias resolve to the same
@@ -457,7 +451,6 @@ func (r *Registry) Unload(fp uint64) error {
 		if snap.aliases[name].ver.fp == fp {
 			r.unloadRefused.Add(1)
 			r.mRefused.Inc()
-			r.opt.Recorder.Add("registry/unload_refused", 1)
 			return fmt.Errorf("%w: %016x is alias %q", ErrVersionAliased, fp, name)
 		}
 	}
@@ -466,7 +459,6 @@ func (r *Registry) Unload(fp uint64) error {
 	r.publishLocked(snap.aliases, versions)
 	r.unloads.Add(1)
 	r.mUnloads.Inc()
-	r.opt.Recorder.Add("registry/unloads", 1)
 	return nil
 }
 

@@ -9,9 +9,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"time"
 
-	"subcouple/internal/obs"
 	"subcouple/internal/serve/registry"
 )
 
@@ -25,71 +23,6 @@ const (
 	MetricLatencySeconds = "subserve_http_request_seconds"
 )
 
-// endpointMetrics is one endpoint's pre-resolved telemetry: a latency
-// histogram plus one counter per status class, with the matching recorder
-// keys precomputed so the per-request path does no string concatenation.
-type endpointMetrics struct {
-	name    string
-	latency *obs.Histogram
-	classes [4]*obs.Counter // index = status/100 - 2 (2xx..5xx)
-	recReq  string          // "serve/req_<name>"
-	recLat  string          // "serve/latency_us_<name>"
-	recCls  [4]string       // "serve/<name>/2xx" .. "serve/<name>/5xx"
-}
-
-// statusClasses spells the label values for endpointMetrics.classes.
-var statusClasses = [4]string{"2xx", "3xx", "4xx", "5xx"}
-
-// endpoint returns (building on first use) the telemetry handles for name.
-// With no Metrics registry the obs handles stay nil — every record is then
-// a no-op — but the recorder keys are still precomputed.
-func (s *Server) endpoint(name string) *endpointMetrics {
-	if em, ok := s.endpoints[name]; ok {
-		return em
-	}
-	em := &endpointMetrics{
-		name:   name,
-		recReq: "serve/req_" + name,
-		recLat: "serve/latency_us_" + name,
-	}
-	for i, class := range statusClasses {
-		em.recCls[i] = "serve/" + name + "/" + class
-	}
-	if ms := s.opt.Metrics; ms != nil {
-		em.latency = ms.Histogram(MetricLatencySeconds, "request latency by endpoint, handler entry to last byte", "endpoint", name)
-		for i, class := range statusClasses {
-			em.classes[i] = ms.Counter(MetricHTTPRequests, "requests by endpoint and status class", "endpoint", name, "code", class)
-		}
-	}
-	s.endpoints[name] = em
-	return em
-}
-
-// classIndex maps an HTTP status to the endpointMetrics.classes slot,
-// clamping anything exotic into 2xx/5xx.
-func classIndex(status int) int {
-	i := status/100 - 2
-	if i < 0 {
-		i = 0
-	}
-	if i > 3 {
-		i = 3
-	}
-	return i
-}
-
-// statusWriter captures the status code a handler wrote (200 when the
-// handler never calls WriteHeader explicitly).
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(status int) {
-	w.status = status
-	w.ResponseWriter.WriteHeader(status)
-}
-
 // Handler returns the routed HTTP handler. /metrics is routed only when a
 // metrics registry is configured; it stays scrapeable through the drain so
 // the last requests of a shutting-down daemon are still observable. The
@@ -97,14 +30,14 @@ func (w *statusWriter) WriteHeader(status int) {
 // admin handler additionally refuses non-loopback peers.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", s.instrument("healthz", s.handleHealthz))
-	mux.HandleFunc("/readyz", s.instrument("readyz", s.handleReadyz))
-	mux.HandleFunc("/models", s.instrument("models", s.handleModels))
-	mux.HandleFunc("/apply", s.instrument("apply", s.handleApply))
-	mux.HandleFunc("/column", s.instrument("column", s.handleColumn))
-	mux.HandleFunc("/fingerprint", s.instrument("fingerprint", s.handleFingerprint))
+	mux.HandleFunc("/healthz", s.endpoints.Instrument("healthz", s.handleHealthz))
+	mux.HandleFunc("/readyz", s.endpoints.Instrument("readyz", s.handleReadyz))
+	mux.HandleFunc("/models", s.endpoints.Instrument("models", s.handleModels))
+	mux.HandleFunc("/apply", s.endpoints.Instrument("apply", s.handleApply))
+	mux.HandleFunc("/column", s.endpoints.Instrument("column", s.handleColumn))
+	mux.HandleFunc("/fingerprint", s.endpoints.Instrument("fingerprint", s.handleFingerprint))
 	if s.opt.Metrics != nil {
-		mux.HandleFunc("/metrics", s.instrument("metrics", s.handleMetrics))
+		mux.HandleFunc("/metrics", s.endpoints.Instrument("metrics", s.handleMetrics))
 	}
 	if s.opt.Admin {
 		mux.HandleFunc("POST /admin/models", s.adminOnly("admin_load", s.handleAdminLoad))
@@ -112,33 +45,6 @@ func (s *Server) Handler() http.Handler {
 		mux.HandleFunc("DELETE /admin/models/{fp}", s.adminOnly("admin_unload", s.handleAdminUnload))
 	}
 	return mux
-}
-
-// instrument wraps a handler with the per-endpoint telemetry: the recorder's
-// request counter and latency histogram (microseconds; power-of-two
-// buckets), the live registry's latency histogram (seconds; the log-spaced
-// ladder), and one counter per status class — so a 400 dimension error and a
-// recovered-panic 500 land in different series instead of one shared
-// "errors" count. Every handle is resolved here, once, keeping the
-// per-request path free of lookups and allocation beyond the statusWriter.
-func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
-	rec := s.opt.Recorder
-	em := s.endpoint(name)
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		rec.Add(em.recReq, 1)
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		h(sw, r)
-		el := time.Since(start)
-		rec.Observe(em.recLat, float64(el.Microseconds()))
-		ci := classIndex(sw.status)
-		rec.Add(em.recCls[ci], 1)
-		// Class before latency: a concurrent ServingStats snapshot then never
-		// sees more latency samples than counted requests (the invariant
-		// ValidateRunReport checks).
-		em.classes[ci].Inc()
-		em.latency.Observe(el.Seconds())
-	}
 }
 
 // reqCtx applies the per-request timeout.

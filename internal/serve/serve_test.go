@@ -229,17 +229,25 @@ func TestColumnEndpoint(t *testing.T) {
 	}
 }
 
+// batchSizes reads model name's live batch-size histogram: how many flushes
+// ran and how many requests they carried in total. Every flush carries at
+// least one request, so cols > flushes exactly when some flush coalesced.
+func batchSizes(ms *obs.Metrics, name string) (flushes int64, cols float64) {
+	snap := ms.HistogramBuckets(registry.MetricBatchSize, "", registry.BatchSizeBuckets, "model", name).Snapshot()
+	return snap.Count, snap.Sum
+}
+
 // TestCoalescedBatchEqualsUnbatched pins the micro-batching contract: with a
 // window wide enough that concurrent requests fuse into one flush, every
-// response still matches the single-RHS reference bitwise, and the recorder
-// shows the coalescing actually happened (one batch of K columns, not K
+// response still matches the single-RHS reference bitwise, and the metrics
+// show the coalescing actually happened (fewer flushes than requests, not K
 // batches of one).
 func TestCoalescedBatchEqualsUnbatched(t *testing.T) {
 	const clients = 8
 	m := testModel(t, core.LowRank)
-	rec := obs.NewRecorder()
+	ms := obs.NewMetrics()
 	s := serve.New(serve.Options{
-		PoolSize: 2, Window: 500 * time.Millisecond, MaxBatch: clients, Workers: 2, Recorder: rec,
+		PoolSize: 2, Window: 500 * time.Millisecond, MaxBatch: clients, Workers: 2, Metrics: ms,
 	})
 	if err := s.AddModel("m", m); err != nil {
 		t.Fatal(err)
@@ -263,16 +271,12 @@ func TestCoalescedBatchEqualsUnbatched(t *testing.T) {
 		bitwiseEqual(t, fmt.Sprintf("client %d", c), results[c], direct(m, probeVec(m.N, c), false))
 	}
 
-	snap := rec.Snapshot()
-	bs, ok := snap.Histograms["serve/batch_size"]
-	if !ok {
-		t.Fatal("no serve/batch_size histogram recorded")
+	flushes, cols := batchSizes(ms, "m")
+	if cols != clients || flushes >= clients {
+		t.Fatalf("%d flushes carried %.0f requests; coalescing never happened", flushes, cols)
 	}
-	if bs.Max < 2 {
-		t.Fatalf("largest flush fused %.0f requests; coalescing never happened (count %d)", bs.Max, bs.Count)
-	}
-	if got := snap.Counters["serve/req_apply"]; got != clients {
-		t.Fatalf("recorded %d apply requests, want %d", got, clients)
+	if got := s.ServingStats().Endpoints["apply"].Requests["2xx"]; got != clients {
+		t.Fatalf("counted %d apply requests, want %d", got, clients)
 	}
 }
 
@@ -327,11 +331,10 @@ func TestPoolStressRace(t *testing.T) {
 func TestGracefulShutdownDrains(t *testing.T) {
 	const clients = 6
 	m := testModel(t, core.LowRank)
-	rec := obs.NewRecorder()
 	s := serve.New(serve.Options{
 		// A long window would hold the batch open for seconds; Close must
 		// cut it short and still answer every admitted request.
-		PoolSize: 2, Window: 10 * time.Second, MaxBatch: 64, Recorder: rec,
+		PoolSize: 2, Window: 10 * time.Second, MaxBatch: 64,
 	})
 	if err := s.AddModel("m", m); err != nil {
 		t.Fatal(err)
@@ -513,7 +516,7 @@ func TestRequestValidation(t *testing.T) {
 // cancellation while exhausted, and the double-Put guard.
 func TestPoolCheckout(t *testing.T) {
 	m := testModel(t, core.LowRank)
-	p := registry.NewPool(m, 2, nil, nil)
+	p := registry.NewPool(m, 2)
 	if p.Size() != 2 {
 		t.Fatalf("pool size %d, want 2", p.Size())
 	}
@@ -553,8 +556,8 @@ func TestPoolCheckout(t *testing.T) {
 // poisons a batch.
 func TestBatcherRejectsBadDimensions(t *testing.T) {
 	m := testModel(t, core.LowRank)
-	p := registry.NewPool(m, 1, nil, nil)
-	b := registry.NewBatcher(p, 0, 4, 1, nil, nil)
+	p := registry.NewPool(m, 1)
+	b := registry.NewBatcher(p, 0, 4, 1)
 	defer b.Close()
 
 	ctx := context.Background()

@@ -37,13 +37,10 @@ type Options struct {
 	Workers int
 	// Timeout bounds each request's admission + pool wait (0 = none).
 	Timeout time.Duration
-	// Recorder and Tracer receive serving telemetry; both may be nil.
-	Recorder *obs.Recorder
-	Tracer   *obs.Tracer
-	// Metrics is the live registry behind GET /metrics. When nil the
-	// endpoint is not routed and every instrumentation site degrades to a
-	// no-op (the obs handles are nil-safe), so metrics-off serving runs the
-	// same code path.
+	// Metrics is the live registry behind GET /metrics and the only sink of
+	// serving telemetry. When nil the endpoint is not routed and every
+	// instrumentation site degrades to a no-op (the obs handles are
+	// nil-safe), so metrics-off serving runs the same code path.
 	Metrics *obs.Metrics
 	// ShedThreshold makes /readyz queue-depth-aware: when > 0 and the total
 	// batcher queue depth (admitted-but-incomplete applies across all
@@ -86,7 +83,7 @@ type Server struct {
 	// endpoints holds per-endpoint telemetry handles, created once per
 	// endpoint name at Handler() time so repeated Handler() calls reuse the
 	// same series.
-	endpoints map[string]*endpointMetrics
+	endpoints *obs.EndpointTelemetry
 
 	ready    atomic.Bool
 	draining atomic.Bool
@@ -99,11 +96,10 @@ func New(opt Options) *Server {
 		Window:   opt.Window,
 		MaxBatch: opt.MaxBatch,
 		Workers:  opt.Workers,
-		Recorder: opt.Recorder,
-		Tracer:   opt.Tracer,
 		Metrics:  opt.Metrics,
 	})
-	return &Server{opt: opt, reg: reg, endpoints: map[string]*endpointMetrics{}}
+	return &Server{opt: opt, reg: reg,
+		endpoints: obs.NewEndpointTelemetry(opt.Metrics, MetricHTTPRequests, MetricLatencySeconds, "")}
 }
 
 // Registry exposes the lifecycle layer (cmd/subserve's watch loop drives
@@ -201,26 +197,7 @@ func (s *Server) ServingStats() *obs.ServingStats {
 	st := &obs.ServingStats{
 		QueueDepth: s.QueueDepth(),
 		PoolInUse:  s.PoolInUse(),
-		Endpoints:  map[string]obs.ServingEndpointStat{},
-	}
-	for name, em := range s.endpoints {
-		snap := em.latency.Snapshot()
-		ep := obs.ServingEndpointStat{
-			Requests:          map[string]int64{},
-			LatencyCount:      snap.Count,
-			LatencyP50Seconds: snap.Quantile(0.50),
-			LatencyP95Seconds: snap.Quantile(0.95),
-			LatencyP99Seconds: snap.Quantile(0.99),
-		}
-		if snap.Count > 0 {
-			ep.LatencyMeanSeconds = snap.Sum / float64(snap.Count)
-		}
-		for i, class := range statusClasses {
-			if v := em.classes[i].Value(); v > 0 {
-				ep.Requests[class] = v
-			}
-		}
-		st.Endpoints[name] = ep
+		Endpoints:  s.endpoints.Stats(),
 	}
 	rs := s.reg.Stats()
 	st.Registry = &obs.ServingRegistryStat{

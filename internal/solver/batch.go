@@ -48,7 +48,6 @@ type parallelSolver struct {
 	s       Solver
 	workers int
 	rec     *obs.Recorder
-	tr      *obs.Tracer
 }
 
 // Parallel adapts s into a BatchSolver whose SolveBatch runs independent
@@ -85,21 +84,13 @@ func (p *parallelSolver) AvgIterations() float64 {
 
 // SetRecorder implements obs.RecorderSetter: worker-utilization stats land
 // in rec, and the recorder is forwarded down the chain so instrumented
-// backends (fd, bem, Counting) are wired with one call.
+// backends (fd, bem, Counting) are wired with one call. On a tracing
+// recorder the adapter's own spans cover the fallback fan-out path; native
+// BatchSolver backends (fd, bem) emit their own batch spans.
 func (p *parallelSolver) SetRecorder(rec *obs.Recorder) {
 	p.rec = rec
 	if rs, ok := p.s.(obs.RecorderSetter); ok {
 		rs.SetRecorder(rec)
-	}
-}
-
-// SetTracer implements obs.TracerSetter, forwarding down the chain like
-// SetRecorder. The adapter's own spans cover the fallback fan-out path;
-// native BatchSolver backends (fd, bem) emit their own batch spans.
-func (p *parallelSolver) SetTracer(tr *obs.Tracer) {
-	p.tr = tr
-	if ts, ok := p.s.(obs.TracerSetter); ok {
-		ts.SetTracer(tr)
 	}
 }
 
@@ -126,7 +117,7 @@ func (p *parallelSolver) SolveBatch(vs [][]float64) ([][]float64, error) {
 	if bs, ok := s.(BatchSolver); ok {
 		return bs.SolveBatch(vs)
 	}
-	sp := p.tr.Begin("solver/parallel_batch").Arg("batch_size", len(vs))
+	sp := p.rec.Begin("solver/parallel_batch").Arg("batch_size", len(vs))
 	out := make([][]float64, len(vs))
 	err := par.DoWorkerErr(p.workers, len(vs), func(worker, i int) error {
 		ssp := sp.ChildOn(worker+1, "solver/solve").Arg("rhs", i)

@@ -79,19 +79,12 @@ func (c *Counting) add(k int) {
 }
 
 // SetRecorder implements obs.RecorderSetter, forwarding to the wrapped
-// solver so a whole chain is wired with one call.
+// solver so a whole chain is wired with one call. Counting itself emits no
+// spans (the per-solve spans live in the backends).
 func (c *Counting) SetRecorder(rec *obs.Recorder) {
 	c.Rec = rec
 	if rs, ok := c.S.(obs.RecorderSetter); ok {
 		rs.SetRecorder(rec)
-	}
-}
-
-// SetTracer implements obs.TracerSetter by forwarding to the wrapped solver;
-// Counting itself emits no spans (the per-solve spans live in the backends).
-func (c *Counting) SetTracer(tr *obs.Tracer) {
-	if ts, ok := c.S.(obs.TracerSetter); ok {
-		ts.SetTracer(tr)
 	}
 }
 

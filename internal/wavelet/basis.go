@@ -72,48 +72,35 @@ type Basis struct {
 	facCoarse map[int]*la.Dense
 	facVCols  map[int]int
 
-	rec *obs.Recorder // phase timers + solve counters; nil = no-op
-	tr  *obs.Tracer   // per-level/per-square spans; nil = no-op
+	rec *obs.Recorder // phase timers, solve counters, spans; nil = no-op
 }
 
 // NewBasis builds the wavelet basis for a layout already split so that no
 // contact crosses a finest-level square boundary. p is the moment order
 // (the thesis found p = 2 effective). Per-square moment SVDs run on all
-// CPUs; use NewBasisWorkers to control the pool size.
+// CPUs, unobserved; use NewBasisRec to control the pool size and record.
 func NewBasis(layout *geom.Layout, tree *quadtree.Tree, p int) (*Basis, error) {
-	return NewBasisWorkers(layout, tree, p, 0)
+	return NewBasisRec(layout, tree, p, 0, nil)
 }
 
-// NewBasisWorkers is NewBasis with an explicit worker count for the
-// per-square moment-matrix SVD splits (workers <= 0 selects
-// runtime.NumCPU()). Each square's split is computed into its own slot and
-// the splits are stitched into Q serially in square order, so the basis is
-// bitwise-identical for any worker count.
-func NewBasisWorkers(layout *geom.Layout, tree *quadtree.Tree, p, workers int) (*Basis, error) {
-	return NewBasisRec(layout, tree, p, workers, nil)
-}
-
-// NewBasisRec is NewBasisWorkers with an obs.Recorder: the build is timed
-// as phase "wavelet/basis" and later extraction calls on the returned basis
-// report their phases and solve counters into rec. A nil rec records
-// nothing.
+// NewBasisRec is NewBasis with an explicit worker count for the per-square
+// moment-matrix SVD splits (workers <= 0 selects runtime.NumCPU()) and an
+// obs.Recorder. Each square's split is computed into its own slot and the
+// splits are stitched into Q serially in square order, so the basis is
+// bitwise-identical for any worker count. The build is timed as phase
+// "wavelet/basis", V-rank cuts land in the recorder's "wavelet/v_rank"
+// numerics histogram, and later extraction calls on the returned basis
+// report their phases and solve counters into rec. A tracing recorder also
+// gets one span per level ("wavelet/split_level") with per-square children
+// on worker tracks, and the extraction schedule. A nil rec records nothing;
+// the basis is bitwise-identical either way.
 func NewBasisRec(layout *geom.Layout, tree *quadtree.Tree, p, workers int, rec *obs.Recorder) (*Basis, error) {
-	return NewBasisObs(layout, tree, p, workers, rec, nil)
-}
-
-// NewBasisObs is NewBasisRec with an obs.Tracer: the build emits one span
-// per level ("wavelet/split_level") with per-square children on worker
-// tracks, V-rank cuts land in the recorder's "wavelet/v_rank" numerics
-// histogram, and extraction calls on the returned basis trace their
-// schedule. Nil rec/tr record nothing; the basis is bitwise-identical
-// either way.
-func NewBasisObs(layout *geom.Layout, tree *quadtree.Tree, p, workers int, rec *obs.Recorder, tr *obs.Tracer) (*Basis, error) {
 	defer rec.Phase("wavelet/basis")()
 	if p < 0 {
 		return nil, fmt.Errorf("wavelet: moment order must be >= 0")
 	}
 	b := &Basis{Layout: layout, Tree: tree, P: p, RankTol: 1e-9,
-		facFinest: map[int]*la.Dense{}, facCoarse: map[int]*la.Dense{}, facVCols: map[int]int{}, rec: rec, tr: tr}
+		facFinest: map[int]*la.Dense{}, facCoarse: map[int]*la.Dense{}, facVCols: map[int]int{}, rec: rec}
 	L := tree.MaxLevel
 	b.wCols = make([][][]int, L+1)
 	b.maxWAt = make([]int, L+1)
@@ -136,7 +123,7 @@ func NewBasisObs(layout *geom.Layout, tree *quadtree.Tree, p, workers int, rec *
 	}
 	finest := tree.SquaresAt(L)
 	fsplits := make([]split, len(finest))
-	lsp := tr.Begin("wavelet/split_level").Arg("level", L).Arg("squares", len(finest))
+	lsp := rec.Begin("wavelet/split_level").Arg("level", L).Arg("squares", len(finest))
 	par.DoWorker(workers, len(finest), func(worker, i int) {
 		s := finest[i]
 		if len(s.Contacts) == 0 {
@@ -173,7 +160,7 @@ func NewBasisObs(layout *geom.Layout, tree *quadtree.Tree, p, workers int, rec *
 	for lev := L - 1; lev >= 0; lev-- {
 		squares := tree.SquaresAt(lev)
 		rsplits := make([]recomb, len(squares))
-		rlsp := tr.Begin("wavelet/recombine_level").Arg("level", lev).Arg("squares", len(squares))
+		rlsp := rec.Begin("wavelet/recombine_level").Arg("level", lev).Arg("squares", len(squares))
 		par.DoWorker(workers, len(squares), func(worker, i int) {
 			s := squares[i]
 			np := len(s.Contacts)

@@ -21,7 +21,7 @@ func (b *Basis) ExtractCombined(s solver.Solver) (*sparse.Matrix, error) {
 		return nil, fmt.Errorf("wavelet: solver has %d contacts, basis %d", s.N(), b.N())
 	}
 	defer b.rec.Phase("wavelet/extract")()
-	xsp := b.tr.Begin("wavelet/extract_combined").Arg("n", b.N())
+	xsp := b.rec.Begin("wavelet/extract_combined").Arg("n", b.N())
 	defer xsp.End()
 	em := sparse.NewSymmetricBuilder(b.N())
 
@@ -78,7 +78,7 @@ func (b *Basis) ExtractCombined(s solver.Solver) (*sparse.Matrix, error) {
 		})
 		for _, key := range keys {
 			members := classes[key]
-			csp := b.tr.Begin("wavelet/class").
+			csp := b.rec.Begin("wavelet/class").
 				Arg("level", lev).Arg("class", fmt.Sprintf("%d,%d", key[0], key[1])).
 				Arg("members", len(members))
 			maxm := 0
