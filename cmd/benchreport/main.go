@@ -545,7 +545,7 @@ func timeApply(res *core.Result, reps int) []benchRow {
 // solves, gated like the other apply rows.
 func timeServe(res *core.Result, reps int) (benchRow, error) {
 	ms := obs.NewMetrics()
-	srv := serve.New(serve.Options{Window: 200 * time.Microsecond, Metrics: ms})
+	srv := serve.New(serve.Options{Metrics: ms})
 	if err := srv.AddModel("bench", res.Model()); err != nil {
 		return benchRow{}, err
 	}
@@ -630,7 +630,7 @@ func timeGateway(res *core.Result, reps int) (benchRow, error) {
 	const replicas = 2
 	backends := make([]gateway.Backend, 0, replicas)
 	for i := 0; i < replicas; i++ {
-		srv := serve.New(serve.Options{Window: 200 * time.Microsecond})
+		srv := serve.New(serve.Options{})
 		if err := srv.AddModel("bench", res.Model()); err != nil {
 			return benchRow{}, err
 		}
@@ -724,7 +724,7 @@ func timeGateway(res *core.Result, reps int) (benchRow, error) {
 // exposes, windowed past the no-swap warm-up round.
 func timeHotSwap(mA, mB *model.Model, reps int) (benchRow, error) {
 	ms := obs.NewMetrics()
-	srv := serve.New(serve.Options{Window: 200 * time.Microsecond, Metrics: ms})
+	srv := serve.New(serve.Options{Metrics: ms})
 	if err := srv.AddModel("bench", mA); err != nil {
 		return benchRow{}, err
 	}

@@ -246,7 +246,7 @@ func TestDaemonLifecycle(t *testing.T) {
 	path, m := saveTestArtifact(t, "lifecycle.scm")
 	reportPath := filepath.Join(t.TempDir(), "serve-report.json")
 
-	base, stop := startDaemon(t, "-model", path, "-pool", "2", "-window", "200us", "-report", reportPath)
+	base, stop := startDaemon(t, "-model", path, "-pool", "2", "-report", reportPath)
 
 	// Liveness and readiness.
 	for _, ep := range []string{"/healthz", "/readyz"} {

@@ -106,6 +106,11 @@ type Solver struct {
 	// multigrid preconditioner hierarchy (lazily built).
 	mg *multigrid
 
+	// work holds the per-solve PCG vectors and preconditioner buffers for
+	// reuse across solves; concurrent SolveBatch solves each check out
+	// their own.
+	work par.FreeList[*workspace]
+
 	// initOnce guards the lazy preconditioner builds so concurrent Solve
 	// calls from SolveBatch share one construction.
 	initOnce sync.Once
@@ -152,6 +157,16 @@ func New(prof *substrate.Profile, layout *geom.Layout, opt Options) (*Solver, er
 		return nil, fmt.Errorf("fd: depth %g not a multiple of h=%g", prof.Depth(), opt.H)
 	}
 	s := &Solver{Prof: prof, Layout: layout, Opt: opt, nx: nx, ny: ny, nz: nz, h: opt.H}
+	s.work.New = func() *workspace {
+		n := s.NumNodes()
+		return &workspace{
+			b: make([]float64, n), x: make([]float64, n),
+			r: make([]float64, n), z: make([]float64, n),
+			p: make([]float64, n), ap: make([]float64, n),
+			triA: make([]float64, nz), triB: make([]float64, nz), triC: make([]float64, nz),
+			triD: make([]float64, nz), triScratch: make([]float64, nz),
+		}
+	}
 
 	// Per-cell conductivity by depth; cell k spans depth [k·h, (k+1)·h].
 	sigma := make([]float64, nz)
@@ -318,10 +333,10 @@ func (s *Solver) applyA(x, y []float64) {
 }
 
 // rhs builds the right-hand side for contact voltages v.
-func (s *Solver) rhs(v []float64) []float64 {
+func (s *Solver) rhs(b, v []float64) {
 	nx, ny := s.nx, s.ny
 	plane := nx * ny
-	b := make([]float64, s.NumNodes())
+	clear(b)
 	for i := 0; i < nx; i++ {
 		for j := 0; j < ny; j++ {
 			ci := s.contactNode[i*ny+j]
@@ -354,7 +369,6 @@ func (s *Solver) rhs(v []float64) []float64 {
 			}
 		}
 	}
-	return b
 }
 
 // ensurePrecond builds the configured preconditioner exactly once, before
@@ -398,18 +412,21 @@ func (s *Solver) solveOn(parent *obs.Span, track int, v []float64) ([]float64, e
 	} else {
 		sp = s.rec.BeginOn(track, "fd/solve")
 	}
-	b := s.rhs(v)
-	x := make([]float64, s.NumNodes())
-	iters, rel, err := s.pcg(x, b)
+	w := s.work.Get()
+	defer s.work.Put(w)
+	s.rhs(w.b, v)
+	iters, rel, err := s.pcg(w)
 	s.solves.Add(1)
 	s.totalIters.Add(int64(iters))
 	s.rec.Observe("fd/pcg_iters", float64(iters))
 	s.rec.Residual("fd/pcg_final_rel", rel)
-	sp.Arg("pcg_iters", iters).Arg("final_rel", rel).End()
+	if sp != nil { // boxing the args allocates even when tracing is off
+		sp.Arg("pcg_iters", iters).Arg("final_rel", rel).End()
+	}
 	if err != nil {
 		return nil, err
 	}
-	return s.contactCurrents(v, x), nil
+	return s.contactCurrents(v, w.x), nil
 }
 
 // SetWorkers implements solver.WorkerSetter.
@@ -511,18 +528,25 @@ var _ solver.Solver = (*Solver)(nil)
 var _ solver.BatchSolver = (*Solver)(nil)
 var _ solver.IterationReporter = (*Solver)(nil)
 
-// pcg runs preconditioned conjugate gradients, returning the iteration count
-// and the final relative residual ‖r‖/‖b‖ (a read-only health signal — it
-// reuses the norm the convergence test already computed).
-func (s *Solver) pcg(x, b []float64) (int, float64, error) {
-	n := len(b)
-	r := make([]float64, n)
+// workspace is one solve's working storage: the right-hand side, the node
+// potentials and the PCG vectors (one entry per grid node each), plus the
+// fast-Poisson preconditioner's per-mode tridiagonal system (nz entries
+// each).
+type workspace struct {
+	b, x, r, z, p, ap                  []float64
+	triA, triB, triC, triD, triScratch []float64
+}
+
+// pcg solves A·w.x = w.b (w.x is zeroed first) by preconditioned conjugate
+// gradients, returning the iteration count and the final relative residual
+// ‖r‖/‖b‖ (a read-only health signal — it reuses the norm the convergence
+// test already computed).
+func (s *Solver) pcg(w *workspace) (int, float64, error) {
+	x, b, r, z, p, ap := w.x, w.b, w.r, w.z, w.p, w.ap
+	clear(x)
 	copy(r, b)
-	z := make([]float64, n)
-	s.applyPrecond(r, z)
-	p := make([]float64, n)
+	s.applyPrecond(w, r, z)
 	copy(p, z)
-	ap := make([]float64, n)
 	bnorm := la.Norm2(b)
 	if bnorm == 0 {
 		return 0, 0, nil
@@ -540,7 +564,7 @@ func (s *Solver) pcg(x, b []float64) (int, float64, error) {
 		if rn := la.Norm2(r); rn <= s.Opt.Tol*bnorm {
 			return it, rn / bnorm, nil
 		}
-		s.applyPrecond(r, z)
+		s.applyPrecond(w, r, z)
 		rzNew := la.Dot(r, z)
 		beta := rzNew / rz
 		rz = rzNew
@@ -553,15 +577,16 @@ func (s *Solver) pcg(x, b []float64) (int, float64, error) {
 		s.Opt.MaxIts, rel)
 }
 
-// applyPrecond computes z = M⁻¹·r for the configured preconditioner.
-func (s *Solver) applyPrecond(r, z []float64) {
+// applyPrecond computes z = M⁻¹·r for the configured preconditioner, using
+// w's preconditioner buffers.
+func (s *Solver) applyPrecond(w *workspace, r, z []float64) {
 	switch s.Opt.Precond {
 	case PrecondNone:
 		copy(z, r)
 	case PrecondIC0:
 		s.applyIC0(r, z)
 	case PrecondFastPoisson:
-		s.applyFastPoisson(r, z)
+		s.applyFastPoisson(w, r, z)
 	case PrecondMultigrid:
 		s.applyMultigrid(r, z)
 	}

@@ -336,3 +336,65 @@ func TestMultigridCompetitiveWithFastPoisson(t *testing.T) {
 		t.Fatalf("multigrid %g iters vs fast-Poisson %g", mgIters, fpIters)
 	}
 }
+
+// TestSolveSteadyStateAllocs: once a workspace exists, a solve allocates
+// only the current vector it returns — the PCG vectors and the
+// fast-Poisson tridiagonal buffers come from the solver's workspace list.
+func TestSolveSteadyStateAllocs(t *testing.T) {
+	prof, layout := smallSetup()
+	e := make([]float64, layout.N())
+	e[3] = 1
+	for _, p := range []Precond{PrecondNone, PrecondIC0, PrecondFastPoisson} {
+		s := mustNew(t, prof, layout, Options{H: 1, Placement: Inside, Precond: p, AreaWeighted: true})
+		if _, err := s.Solve(e); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := s.Solve(e); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 1 {
+			t.Errorf("precond %d: %v allocs per Solve, want at most 1 (the result)", p, allocs)
+		}
+	}
+}
+
+// TestSolveBatchBitwise: concurrent solves on the worker pool, each with its
+// own workspace, give bitwise the results and iteration counts of
+// sequential Solve calls on a fresh solver (run with -race).
+func TestSolveBatchBitwise(t *testing.T) {
+	prof, layout := smallSetup()
+	n := layout.N()
+	vs := make([][]float64, n)
+	for j := range vs {
+		vs[j] = make([]float64, n)
+		vs[j][j] = 1
+		vs[j][(j*7)%n] -= 0.5
+	}
+	opt := Options{H: 1, Placement: Inside, Precond: PrecondFastPoisson, AreaWeighted: true, Workers: 4}
+	seq := mustNew(t, prof, layout, opt)
+	want := make([][]float64, n)
+	for j, v := range vs {
+		out, err := seq.Solve(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[j] = out
+	}
+	batch := mustNew(t, prof, layout, opt)
+	got, err := batch.SolveBatch(vs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := range want {
+		for i := range want[j] {
+			if math.Float64bits(got[j][i]) != math.Float64bits(want[j][i]) {
+				t.Fatalf("rhs %d entry %d: batch %v, sequential %v", j, i, got[j][i], want[j][i])
+			}
+		}
+	}
+	if b, s := batch.totalIters.Load(), seq.totalIters.Load(); b != s {
+		t.Fatalf("batch ran %d PCG iterations, sequential %d", b, s)
+	}
+}

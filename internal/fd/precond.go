@@ -155,7 +155,8 @@ func (s *Solver) buildFastPoisson() {
 // applyFastPoisson computes z = M⁻¹·r where M is the uniform-boundary
 // grid-of-resistors operator: DCT-II per z-plane, an nz-point tridiagonal
 // solve per lateral mode, inverse DCT, and the round-trip 4/(nx·ny) scale.
-func (s *Solver) applyFastPoisson(r, z []float64) {
+// The tridiagonal systems are built in w's buffers.
+func (s *Solver) applyFastPoisson(w *workspace, r, z []float64) {
 	if s.fpMuX == nil {
 		s.buildFastPoisson()
 	}
@@ -165,11 +166,8 @@ func (s *Solver) applyFastPoisson(r, z []float64) {
 	for k := 0; k < nz; k++ {
 		dct.DCT2D2(z[k*plane:(k+1)*plane], nx, ny)
 	}
-	a := make([]float64, nz) // subdiagonal
-	bd := make([]float64, nz)
-	c := make([]float64, nz) // superdiagonal
-	d := make([]float64, nz)
-	scratch := make([]float64, nz)
+	a, bd, c := w.triA, w.triB, w.triC // sub-, main and superdiagonal
+	d, scratch := w.triD, w.triScratch
 	for kx := 0; kx < nx; kx++ {
 		for ky := 0; ky < ny; ky++ {
 			mu := s.fpMuX[kx] + s.fpMuY[ky]

@@ -9,7 +9,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"subcouple/internal/core"
 	"subcouple/internal/model"
@@ -240,7 +239,7 @@ func TestAdminRequiresLoopback(t *testing.T) {
 // not exist at all.
 func TestAdminDisabledByDefault(t *testing.T) {
 	m := testModel(t, core.LowRank)
-	_, ts, _ := newTestServer(t, m, serve.Options{PoolSize: 1, Window: 0 * time.Millisecond})
+	_, ts, _ := newTestServer(t, m, serve.Options{PoolSize: 1})
 	resp, _ := adminPost(t, ts, "/admin/swap", "application/json", []byte(`{"alias":"m","fingerprint":"1"}`))
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("admin route without Options.Admin: %d, want 404", resp.StatusCode)

@@ -76,25 +76,31 @@ func DecodeRawVector(data []byte) ([]float64, error) {
 }
 
 // readRawVector reads the binary codec body: exactly 8·n little-endian
-// float64 bytes.
+// float64 bytes. The body is read into one buffer of exactly that size; the
+// 1-byte allowance of the size limit is the overflow probe, so an overlong
+// body is told apart without buffering it.
 func readRawVector(w http.ResponseWriter, r *http.Request, n int) ([]float64, bool) {
 	want := 8 * n
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, int64(want)+1))
+	body := http.MaxBytesReader(w, r.Body, int64(want)+1)
+	buf := make([]byte, want)
+	got, err := io.ReadFull(body, buf)
+	var extra int64
+	if err == nil {
+		extra, err = io.Copy(io.Discard, body)
+	} else if err == io.EOF || err == io.ErrUnexpectedEOF {
+		err = nil
+	}
 	if err != nil {
 		http.Error(w, fmt.Sprintf("raw body: %v (want exactly %d bytes = %d float64-LE)", err, want, n),
 			http.StatusBadRequest)
 		return nil, false
 	}
-	if len(body) != want {
-		http.Error(w, fmt.Sprintf("raw body has %d bytes, want exactly %d (%d float64-LE)", len(body), want, n),
+	if size := int64(got) + extra; size != int64(want) {
+		http.Error(w, fmt.Sprintf("raw body has %d bytes, want exactly %d (%d float64-LE)", size, want, n),
 			http.StatusBadRequest)
 		return nil, false
 	}
-	x, err := DecodeRawVector(body)
-	if err != nil {
-		http.Error(w, fmt.Sprintf("raw body: %v", err), http.StatusBadRequest)
-		return nil, false
-	}
+	x, _ := DecodeRawVector(buf) // 8·n bytes: always a whole number of float64s
 	return x, true
 }
 

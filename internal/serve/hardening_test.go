@@ -45,15 +45,19 @@ func privateModel(t *testing.T, method core.Method) *model.Model {
 func TestFlushPanicRecovery(t *testing.T) {
 	m := privateModel(t, core.LowRank)
 	p := registry.NewPool(m, 1)
-	// A wide window so the two concurrent requests below fuse into one
-	// flush and exercise the panel path, not just the k == 1 case.
-	b := registry.NewBatcher(p, 200*time.Millisecond, 4, 1)
+	b := registry.NewBatcher(p, 4, 1)
 	defer b.Close()
 
 	saved := m.Gw.ColIdx[0]
 	m.Gw.ColIdx[0] = -1 // poison: the next apply indexes out of range
 
+	// Hold the only engine while the two requests below queue, so they
+	// fuse into one flush and exercise the panel path, not just k == 1.
 	ctx := context.Background()
+	eng, err := p.Get(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
 	errs := make([]error, 2)
 	var wg sync.WaitGroup
 	for i := range errs {
@@ -63,6 +67,10 @@ func TestFlushPanicRecovery(t *testing.T) {
 			errs[i] = b.Apply(ctx, make([]float64, m.N), probeVec(m.N, i), false)
 		}(i)
 	}
+	for deadline := time.Now().Add(10 * time.Second); b.QueueDepth() < len(errs) && time.Now().Before(deadline); {
+		time.Sleep(100 * time.Microsecond)
+	}
+	p.Put(eng)
 	wg.Wait()
 	for i, err := range errs {
 		if err == nil || !strings.Contains(err.Error(), "apply panic") {
@@ -130,15 +138,15 @@ func TestColumnAndFingerprintPanicRecovery(t *testing.T) {
 }
 
 // TestThresholdedCoalescing pins that thresholded batches now flush through
-// the panel kernels bitwise-identically: concurrent Gwt requests fuse (the
-// batch-size histogram proves it) and every response equals the single-RHS
-// reference.
+// the panel kernels bitwise-identically: concurrent Gwt requests queued
+// behind a busy engine fuse (the batch-size histogram proves it) and every
+// response equals the single-RHS reference.
 func TestThresholdedCoalescing(t *testing.T) {
 	const clients = 6
 	m := testModel(t, core.LowRank)
 	ms := obs.NewMetrics()
 	s := serve.New(serve.Options{
-		PoolSize: 1, Window: 500 * time.Millisecond, MaxBatch: clients, Workers: 2, Metrics: ms,
+		PoolSize: 1, MaxBatch: clients, Workers: 2, Metrics: ms,
 	})
 	if err := s.AddModel("m", m); err != nil {
 		t.Fatal(err)
@@ -150,13 +158,16 @@ func TestThresholdedCoalescing(t *testing.T) {
 
 	var wg sync.WaitGroup
 	results := make([][]float64, clients)
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			results[c] = postJSON(t, ts, "m", probeVec(m.N, c), true)
-		}(c)
-	}
+	release := queueBehindEngines(t, s, "m", clients, func() {
+		for c := 0; c < clients; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				results[c] = postJSON(t, ts, "m", probeVec(m.N, c), true)
+			}(c)
+		}
+	})
+	release()
 	wg.Wait()
 	for c := 0; c < clients; c++ {
 		bitwiseEqual(t, fmt.Sprintf("thresholded client %d", c), results[c], direct(m, probeVec(m.N, c), true))

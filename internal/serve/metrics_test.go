@@ -56,7 +56,7 @@ func TestMetricsDoNotChangeOutputs(t *testing.T) {
 	m := testModel(t, core.LowRank)
 	run := func(ms *obs.Metrics) [][]float64 {
 		s := serve.New(serve.Options{
-			PoolSize: 2, Window: 300 * time.Microsecond, MaxBatch: 4, Workers: 2, Metrics: ms,
+			PoolSize: 2, MaxBatch: 4, Workers: 2, Metrics: ms,
 		})
 		if err := s.AddModel("m", m); err != nil {
 			t.Fatal(err)
@@ -165,7 +165,7 @@ func TestMetricsExposition(t *testing.T) {
 	m := testModel(t, core.LowRank)
 	ms := obs.NewMetrics()
 	s := serve.New(serve.Options{
-		PoolSize: 2, Window: 50 * time.Millisecond, MaxBatch: clients, Workers: 2, Metrics: ms,
+		PoolSize: 2, MaxBatch: clients, Workers: 2, Metrics: ms,
 	})
 	if err := s.AddModel("m", m); err != nil {
 		t.Fatal(err)
@@ -238,9 +238,8 @@ func TestReadyzShedAndRecover(t *testing.T) {
 	const clients = 3
 	m := testModel(t, core.LowRank)
 	s := serve.New(serve.Options{
-		// A long window holds the admitted requests queued so the depth is
-		// observable; MaxBatch > clients keeps them all in one batch.
-		PoolSize: 1, Window: 1500 * time.Millisecond, MaxBatch: 8,
+		// MaxBatch > clients keeps the queued requests in one batch.
+		PoolSize: 1, MaxBatch: 8,
 		Metrics: obs.NewMetrics(), ShedThreshold: 1,
 	})
 	if err := s.AddModel("m", m); err != nil {
@@ -257,19 +256,18 @@ func TestReadyzShedAndRecover(t *testing.T) {
 
 	var wg sync.WaitGroup
 	results := make([][]float64, clients)
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			results[c] = postJSON(t, ts, "m", probeVec(m.N, c), false)
-		}(c)
-	}
-	// Wait until every request is admitted into the pending window, then the
+	// Every request is admitted and queued behind the held engine, so the
 	// depth (3) exceeds the threshold (1) and readiness must shed.
-	deadline := time.Now().Add(10 * time.Second)
-	for s.QueueDepth() < clients && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	release := queueBehindEngines(t, s, "m", clients, func() {
+		for c := 0; c < clients; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				results[c] = postJSON(t, ts, "m", probeVec(m.N, c), false)
+			}(c)
+		}
+	})
+	defer release()
 	if s.QueueDepth() < clients {
 		t.Fatalf("queue depth %d never reached %d", s.QueueDepth(), clients)
 	}
@@ -285,12 +283,14 @@ func TestReadyzShedAndRecover(t *testing.T) {
 	}
 
 	// Shedding never refuses work: every admitted request completes
-	// correctly, after which readiness recovers on its own.
+	// correctly once the engine is back, after which readiness recovers on
+	// its own.
+	release()
 	wg.Wait()
 	for c := 0; c < clients; c++ {
 		bitwiseEqual(t, fmt.Sprintf("shed client %d", c), results[c], direct(m, probeVec(m.N, c), false))
 	}
-	for time.Now().Before(deadline) {
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); {
 		if st, _ := getReadyz(t, ts); st == http.StatusOK {
 			break
 		}
@@ -311,7 +311,7 @@ func TestMetricsDuringDrain(t *testing.T) {
 	m := testModel(t, core.LowRank)
 	ms := obs.NewMetrics()
 	s := serve.New(serve.Options{
-		PoolSize: 2, Window: 10 * time.Second, MaxBatch: 64, Metrics: ms,
+		PoolSize: 2, MaxBatch: 64, Metrics: ms,
 	})
 	if err := s.AddModel("m", m); err != nil {
 		t.Fatal(err)
@@ -322,17 +322,16 @@ func TestMetricsDuringDrain(t *testing.T) {
 
 	var wg sync.WaitGroup
 	results := make([][]float64, clients)
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			results[c] = postJSON(t, ts, "m", probeVec(m.N, c), false)
-		}(c)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for s.QueueDepth() < clients && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	release := queueBehindEngines(t, s, "m", clients, func() {
+		for c := 0; c < clients; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				results[c] = postJSON(t, ts, "m", probeVec(m.N, c), false)
+			}(c)
+		}
+	})
+	defer release()
 	// Admitted but unflushed: the gauge must already count them.
 	if !strings.Contains(scrape(t, ts), registry.MetricQueueDepth+`{model="m"} `+fmt.Sprint(clients)) {
 		t.Fatalf("queue-depth gauge does not count admitted-but-unflushed requests")
@@ -340,8 +339,13 @@ func TestMetricsDuringDrain(t *testing.T) {
 
 	done := make(chan struct{})
 	go func() { s.Close(); close(done) }()
-	// The drain is running (Close cuts the window short and flushes);
-	// /metrics must keep answering the whole time.
+	// The drain is running (Close waits for the queued backlog, which
+	// flushes once the engines come back); /metrics must keep answering
+	// the whole time.
+	for i := 0; i < 3; i++ {
+		scrape(t, ts)
+	}
+	release()
 drain:
 	for {
 		select {

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"subcouple/internal/model"
 	"subcouple/internal/obs"
 )
 
@@ -26,21 +27,22 @@ var ErrApplyPanic = errors.New("serve: apply panic")
 const DefaultMaxBatch = 32
 
 // Batcher coalesces concurrent Apply requests on one model into single
-// multi-RHS panel applies. The first request opens a batch; the collector
-// goroutine keeps admitting requests until the coalescing window elapses or
-// the batch is full, then packs the batch into one column-major n×k panel
-// and flushes it through Engine.ApplyPanelInto on one engine checked out of
-// the pool. Flushes run concurrently up to the pool size, so a long window
-// never serializes the daemon.
+// multi-RHS panel applies, gated by engine availability rather than by a
+// timer. The collector goroutine takes the oldest queued request, checks an
+// engine out of the pool, then drains whatever else is already queued —
+// without blocking — up to maxBatch requests of the same operator kind, and
+// flushes that batch on the engine it holds. An idle daemon therefore
+// flushes every request at once; requests that arrive while every engine is
+// busy pile up in the queue and form the next panel, which is several times
+// cheaper per column than single applies. Flushes run concurrently up to
+// the pool size.
 //
 // Coalescing is invisible in the response bytes: the panel kernels compute
 // each column with exactly the single-RHS arithmetic (and are bitwise
 // deterministic for any worker count), so a batched response is identical
-// to the unbatched one. The window only trades a little latency for
-// throughput.
+// to the unbatched one.
 type Batcher struct {
 	pool     *Pool
-	window   time.Duration
 	maxBatch int
 	workers  int
 
@@ -48,9 +50,9 @@ type Batcher struct {
 	idle    chan struct{} // closed when the collector exits
 	flights sync.WaitGroup
 
-	// depth counts admitted-but-not-yet-completed requests (queued in the
-	// window plus in-flight in a flush). It is the queue-depth signal behind
-	// the shedding /readyz and is maintained with or without metrics.
+	// depth counts admitted-but-not-yet-completed requests (queued plus
+	// in-flight in a flush). It is the queue-depth signal behind the
+	// shedding /readyz and is maintained with or without metrics.
 	depth atomic.Int64
 
 	// Live metrics handles (nil without SetMetrics; all nil-safe).
@@ -64,8 +66,8 @@ type Batcher struct {
 }
 
 // applyReq is one enqueued apply: x in, dst out, done fired on completion.
-// enq stamps admission so the flush can observe how long coalescing held
-// the request.
+// enq stamps admission so the flush can observe how long the request
+// queued for an engine.
 type applyReq struct {
 	x, dst      []float64
 	thresholded bool
@@ -73,16 +75,17 @@ type applyReq struct {
 	done        chan error
 }
 
-// NewBatcher starts the collector for pool with the given coalescing window
-// (0 flushes immediately, still fusing whatever is already queued), batch
-// bound (<= 0 selects DefaultMaxBatch) and engine worker count.
-func NewBatcher(pool *Pool, window time.Duration, maxBatch, workers int) *Batcher {
+// NewBatcher starts the collector for pool with the given batch bound
+// (<= 0 selects DefaultMaxBatch) and engine worker count. The admission
+// queue holds 2·maxBatch requests — room for one full panel being drained
+// onto a free engine while the next fills; beyond that, admission blocks,
+// bounded by each request's context.
+func NewBatcher(pool *Pool, maxBatch, workers int) *Batcher {
 	if maxBatch <= 0 {
 		maxBatch = DefaultMaxBatch
 	}
 	b := &Batcher{
 		pool:     pool,
-		window:   window,
 		maxBatch: maxBatch,
 		workers:  workers,
 		reqs:     make(chan *applyReq, 2*maxBatch),
@@ -96,9 +99,9 @@ func NewBatcher(pool *Pool, window time.Duration, maxBatch, workers int) *Batche
 // model name. Call before serving starts; a nil registry leaves everything
 // a no-op.
 func (b *Batcher) SetMetrics(ms *obs.Metrics, name string) {
-	b.mDepth = ms.Gauge(MetricQueueDepth, "applies admitted but not yet completed (window queue + in-flight flushes)", "model", name)
+	b.mDepth = ms.Gauge(MetricQueueDepth, "applies admitted but not yet completed (queued + in-flight flushes)", "model", name)
 	b.mBatch = ms.HistogramBuckets(MetricBatchSize, "requests coalesced into one flush", BatchSizeBuckets, "model", name)
-	b.mWait = ms.Histogram(MetricWindowWaitSeconds, "admission-to-flush wait per request (the latency cost of coalescing)", "model", name)
+	b.mWait = ms.Histogram(MetricWindowWaitSeconds, "admission to engine checkout per request (queue wait)", "model", name)
 	b.mFlushes = ms.Counter(MetricBatchFlushes, "batches flushed through the engine pool", "model", name)
 }
 
@@ -107,9 +110,9 @@ func (b *Batcher) QueueDepth() int { return int(b.depth.Load()) }
 
 // Apply computes dst = G·x (Gwt·-based when thresholded) through a coalesced
 // batch, blocking until the batch completes. ctx bounds only admission (the
-// wait for queue space); once admitted a request always runs — graceful
-// shutdown drains it. Dimensions are validated here so a mis-sized request
-// can never poison a whole batch.
+// wait for space in the 2·maxBatch queue); once admitted a request always
+// runs — graceful shutdown drains it. Dimensions are validated here so a
+// mis-sized request can never poison a whole batch.
 func (b *Batcher) Apply(ctx context.Context, dst, x []float64, thresholded bool) error {
 	n := b.pool.Model().N
 	if len(x) != n {
@@ -156,72 +159,54 @@ func (b *Batcher) Close() {
 	b.flights.Wait()
 }
 
-// collect is the batching loop: one batch per iteration, flushed on its own
-// goroutine so gathering the next batch overlaps the current flush.
+// collect is the batching loop: one batch per engine checkout, flushed on
+// its own goroutine so the next batch forms while this one runs. A request
+// of the other operator kind met while draining becomes the head of the
+// next batch.
 func (b *Batcher) collect() {
 	defer close(b.idle)
+	var head *applyReq
 	for {
-		req, ok := <-b.reqs
-		if !ok {
-			return
+		if head == nil {
+			r, ok := <-b.reqs
+			if !ok {
+				return
+			}
+			head = r
 		}
-		batch := b.gather(req)
+		// context.Background never expires, so Get cannot fail; the
+		// request contexts bounded admission only.
+		eng, _ := b.pool.Get(context.Background())
+		var batch []*applyReq
+		batch, head = b.drain(head)
 		b.flights.Add(1)
-		go b.flush(batch)
+		go b.flush(eng, batch)
 	}
 }
 
-// gather admits requests after first until the window elapses, the batch is
-// full, or the queue closes. Thresholded applies use a different operator
-// (Gwt), so a batch holds one kind only: a mismatched arrival flushes into
-// its own next batch via the one-slot handoff below.
-func (b *Batcher) gather(first *applyReq) []*applyReq {
-	batch := make([]*applyReq, 1, b.maxBatch)
+// drain starts a batch with first and appends whatever is already queued,
+// without blocking, until the batch is full, the queue is empty or closed,
+// or a request of the other kind turns up — thresholded applies use a
+// different operator (Gwt), so a batch holds one kind only. It returns that
+// request, if any, as the next batch's head.
+func (b *Batcher) drain(first *applyReq) (batch []*applyReq, next *applyReq) {
+	batch = make([]*applyReq, 1, b.maxBatch)
 	batch[0] = first
-	var timeout <-chan time.Time
-	if b.window > 0 {
-		timer := time.NewTimer(b.window)
-		defer timer.Stop()
-		timeout = timer.C
-	}
 	for len(batch) < b.maxBatch {
-		if b.window > 0 {
-			select {
-			case r, ok := <-b.reqs:
-				if !ok {
-					return batch
-				}
-				if r.thresholded != first.thresholded {
-					return b.splitOff(batch, r)
-				}
-				batch = append(batch, r)
-			case <-timeout:
-				return batch
+		select {
+		case r, ok := <-b.reqs:
+			if !ok {
+				return batch, nil
 			}
-		} else {
-			select {
-			case r, ok := <-b.reqs:
-				if !ok {
-					return batch
-				}
-				if r.thresholded != first.thresholded {
-					return b.splitOff(batch, r)
-				}
-				batch = append(batch, r)
-			default:
-				return batch
+			if r.thresholded != first.thresholded {
+				return batch, r
 			}
+			batch = append(batch, r)
+		default:
+			return batch, nil
 		}
 	}
-	return batch
-}
-
-// splitOff flushes a straggler of the other operator kind as its own batch
-// and ends the current gather.
-func (b *Batcher) splitOff(batch []*applyReq, r *applyReq) []*applyReq {
-	b.flights.Add(1)
-	go b.flush([]*applyReq{r})
-	return batch
+	return batch, nil
 }
 
 // panelPool recycles the column-major pack/unpack buffers used by flush:
@@ -239,15 +224,16 @@ func getPanel(size int) *[]float64 {
 	return p
 }
 
-// flush runs one batch on a pool engine and completes every request in it.
-// A multi-request batch is packed into one column-major panel and handed
-// straight to the engine's panel kernels — one sweep over the model
-// structure computes every column; a lone request goes through the
-// single-RHS path (the panel kernels reduce to it anyway at k == 1).
-// Panics (engine misuse, impossible dimensions — all pre-validated, so this
-// is a backstop) are converted to errors instead of killing the daemon, and
-// the deferred Put returns the engine to the pool on every path.
-func (b *Batcher) flush(batch []*applyReq) {
+// flush runs one batch on eng, which the collector checked out for it, and
+// completes every request in it. A multi-request batch is packed into one
+// column-major panel and handed straight to the engine's panel kernels —
+// one sweep over the model structure computes every column; a lone request
+// goes through the single-RHS path (the panel kernels reduce to it anyway
+// at k == 1). Panics (engine misuse, impossible dimensions — all
+// pre-validated, so this is a backstop) are converted to errors instead of
+// killing the daemon, and the deferred Put returns the engine to the pool
+// on every path.
+func (b *Batcher) flush(eng *model.Engine, batch []*applyReq) {
 	defer b.flights.Done()
 	err := func() (err error) {
 		defer func() {
@@ -255,10 +241,6 @@ func (b *Batcher) flush(batch []*applyReq) {
 				err = fmt.Errorf("%w: %v", ErrApplyPanic, r)
 			}
 		}()
-		eng, err := b.pool.Get(context.Background())
-		if err != nil {
-			return err
-		}
 		defer b.pool.Put(eng)
 		b.mFlushes.Inc()
 		b.mBatch.Observe(float64(len(batch)))

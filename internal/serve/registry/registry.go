@@ -84,15 +84,12 @@ var (
 )
 
 // Options configures the serving machinery the registry builds per alias
-// activation. The zero value is usable (NumCPU engines, immediate flushes,
-// DefaultMaxBatch, no telemetry).
+// activation. The zero value is usable (NumCPU engines, DefaultMaxBatch, no
+// telemetry).
 type Options struct {
 	// PoolSize is the number of engines (the concurrency limit) per
 	// activation; <= 0 selects runtime.NumCPU().
 	PoolSize int
-	// Window is the micro-batching coalescing window; 0 flushes immediately
-	// (still fusing whatever is already queued).
-	Window time.Duration
 	// MaxBatch bounds the columns fused into one flush (<= 0 selects
 	// DefaultMaxBatch).
 	MaxBatch int
@@ -423,7 +420,7 @@ func (r *Registry) newActive(alias string, ver *Version) *Active {
 		ver:     ver,
 		alias:   alias,
 		pool:    pool,
-		batcher: NewBatcher(pool, r.opt.Window, r.opt.MaxBatch, r.opt.Workers),
+		batcher: NewBatcher(pool, r.opt.MaxBatch, r.opt.Workers),
 	}
 	if r.opt.Metrics != nil {
 		// Successive activations of the same alias resolve to the same

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"subcouple/internal/core"
 	"subcouple/internal/experiments"
@@ -48,10 +47,14 @@ func probeVec(n, shift int) []float64 {
 	return x
 }
 
-// direct computes the reference y on a fresh, private engine.
-func direct(m *model.Model, x []float64) []float64 {
+// direct computes the single-RHS reference y on a fresh, private engine.
+func direct(m *model.Model, x []float64, thresholded bool) []float64 {
 	y := make([]float64, m.N)
-	model.NewEngine(m).ApplyInto(y, x)
+	if thresholded {
+		model.NewEngine(m).ApplyThresholdedInto(y, x)
+	} else {
+		model.NewEngine(m).ApplyInto(y, x)
+	}
 	return y
 }
 
@@ -110,7 +113,7 @@ func TestLifecycle(t *testing.T) {
 	if err := act.Apply(context.Background(), y, x, false); err != nil {
 		t.Fatal(err)
 	}
-	if !bitwiseEqual(y, direct(m1, x)) {
+	if !bitwiseEqual(y, direct(m1, x, false)) {
 		t.Fatal("served apply differs from direct engine")
 	}
 
@@ -201,7 +204,7 @@ func TestSnapshotReadIsAllocationFree(t *testing.T) {
 // request, but never mix them — and no request may be dropped.
 func TestConcurrentSwapNeverBlends(t *testing.T) {
 	m1, m2 := testModel(t, core.LowRank), testModel(t, core.Wavelet)
-	reg := registry.New(registry.Options{PoolSize: 2, Window: 100 * time.Microsecond})
+	reg := registry.New(registry.Options{PoolSize: 2})
 	fp1, _, err := reg.Load(m1)
 	if err != nil {
 		t.Fatal(err)
@@ -223,7 +226,7 @@ func TestConcurrentSwapNeverBlends(t *testing.T) {
 	want2 := make([][]float64, clients)
 	for c := 0; c < clients; c++ {
 		x := probeVec(m1.N, c)
-		want1[c], want2[c] = direct(m1, x), direct(m2, x)
+		want1[c], want2[c] = direct(m1, x, false), direct(m2, x, false)
 	}
 
 	var wg sync.WaitGroup

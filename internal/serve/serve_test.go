@@ -174,7 +174,7 @@ func TestEndToEndApply(t *testing.T) {
 	for _, method := range []core.Method{core.LowRank, core.Wavelet} {
 		t.Run(method.String(), func(t *testing.T) {
 			m := testModel(t, method)
-			_, ts, name := newTestServer(t, m, serve.Options{PoolSize: 2, Window: 200 * time.Microsecond})
+			_, ts, name := newTestServer(t, m, serve.Options{PoolSize: 2})
 
 			for shift := 0; shift < 4; shift++ {
 				x := probeVec(m.N, shift)
@@ -229,6 +229,42 @@ func TestColumnEndpoint(t *testing.T) {
 	}
 }
 
+// queueBehindEngines checks every engine of model name's pool out, runs
+// send (which starts the clients), and waits until the server has admitted
+// n applies. Those applies stay queued behind the held engines — the
+// backlog the batcher coalesces — until release puts the engines back.
+// release is idempotent, so a test may also defer it.
+func queueBehindEngines(t *testing.T, s *serve.Server, name string, n int, send func()) (release func()) {
+	t.Helper()
+	pool := s.Registry().Snapshot().Lookup(name).Pool()
+	held := make([]*model.Engine, pool.Size())
+	for i := range held {
+		e, err := pool.Get(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		held[i] = e
+	}
+	var once sync.Once
+	release = func() {
+		once.Do(func() {
+			for _, e := range held {
+				pool.Put(e)
+			}
+		})
+	}
+	send()
+	deadline := time.Now().Add(10 * time.Second)
+	for s.QueueDepth() < n {
+		if time.Now().After(deadline) {
+			release()
+			t.Fatalf("queue depth %d never reached %d", s.QueueDepth(), n)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	return release
+}
+
 // batchSizes reads model name's live batch-size histogram: how many flushes
 // ran and how many requests they carried in total. Every flush carries at
 // least one request, so cols > flushes exactly when some flush coalesced.
@@ -237,17 +273,17 @@ func batchSizes(ms *obs.Metrics, name string) (flushes int64, cols float64) {
 	return snap.Count, snap.Sum
 }
 
-// TestCoalescedBatchEqualsUnbatched pins the micro-batching contract: with a
-// window wide enough that concurrent requests fuse into one flush, every
-// response still matches the single-RHS reference bitwise, and the metrics
-// show the coalescing actually happened (fewer flushes than requests, not K
-// batches of one).
+// TestCoalescedBatchEqualsUnbatched pins the micro-batching contract: with
+// concurrent requests queued behind busy engines so they fuse into one
+// flush, every response still matches the single-RHS reference bitwise,
+// and the metrics show the coalescing actually happened (fewer flushes
+// than requests, not K batches of one).
 func TestCoalescedBatchEqualsUnbatched(t *testing.T) {
 	const clients = 8
 	m := testModel(t, core.LowRank)
 	ms := obs.NewMetrics()
 	s := serve.New(serve.Options{
-		PoolSize: 2, Window: 500 * time.Millisecond, MaxBatch: clients, Workers: 2, Metrics: ms,
+		PoolSize: 2, MaxBatch: clients, Workers: 2, Metrics: ms,
 	})
 	if err := s.AddModel("m", m); err != nil {
 		t.Fatal(err)
@@ -259,13 +295,16 @@ func TestCoalescedBatchEqualsUnbatched(t *testing.T) {
 
 	var wg sync.WaitGroup
 	results := make([][]float64, clients)
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			results[c] = postJSON(t, ts, "m", probeVec(m.N, c), false)
-		}(c)
-	}
+	release := queueBehindEngines(t, s, "m", clients, func() {
+		for c := 0; c < clients; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				results[c] = postJSON(t, ts, "m", probeVec(m.N, c), false)
+			}(c)
+		}
+	})
+	release()
 	wg.Wait()
 	for c := 0; c < clients; c++ {
 		bitwiseEqual(t, fmt.Sprintf("client %d", c), results[c], direct(m, probeVec(m.N, c), false))
@@ -281,14 +320,14 @@ func TestCoalescedBatchEqualsUnbatched(t *testing.T) {
 }
 
 // TestPoolStressRace hammers one model from 12 concurrent clients through a
-// 2-engine pool with a short window, mixing codecs and operators; every
+// 2-engine pool with a small batch bound, mixing codecs and operators; every
 // response must be bitwise-correct. Run with -race this is the pool/batcher
 // data-race gate required by the issue (≥ 8 concurrent clients).
 func TestPoolStressRace(t *testing.T) {
 	const clients, iters = 12, 10
 	m := testModel(t, core.LowRank)
 	_, ts, name := newTestServer(t, m, serve.Options{
-		PoolSize: 2, Window: 100 * time.Microsecond, MaxBatch: 4, Workers: 2,
+		PoolSize: 2, MaxBatch: 4, Workers: 2,
 		Timeout: 30 * time.Second,
 	})
 
@@ -326,16 +365,13 @@ func TestPoolStressRace(t *testing.T) {
 }
 
 // TestGracefulShutdownDrains proves the drain contract: requests admitted
-// before Close complete successfully (Close flushes the pending batch early
-// rather than dropping it), and requests after Close are refused with 503.
+// before Close complete successfully (Close waits for the queued backlog to
+// flush rather than dropping it), and requests after Close are refused with
+// 503.
 func TestGracefulShutdownDrains(t *testing.T) {
 	const clients = 6
 	m := testModel(t, core.LowRank)
-	s := serve.New(serve.Options{
-		// A long window would hold the batch open for seconds; Close must
-		// cut it short and still answer every admitted request.
-		PoolSize: 2, Window: 10 * time.Second, MaxBatch: 64,
-	})
+	s := serve.New(serve.Options{PoolSize: 2, MaxBatch: 64})
 	if err := s.AddModel("m", m); err != nil {
 		t.Fatal(err)
 	}
@@ -345,22 +381,21 @@ func TestGracefulShutdownDrains(t *testing.T) {
 
 	var wg sync.WaitGroup
 	results := make([][]float64, clients)
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			results[c] = postJSON(t, ts, "m", probeVec(m.N, c), false)
-		}(c)
-	}
-	// Wait until every request has been admitted into the open batch (the
-	// request counter moves earlier, before admission), then begin the
-	// drain while the window is still pending.
-	deadline := time.Now().Add(10 * time.Second)
-	for s.QueueDepth() < clients && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	// Every request is admitted and queued behind the held engines (the
+	// request counter moves earlier, before admission); the drain begins
+	// while they are still queued, and only then do the engines come back.
+	release := queueBehindEngines(t, s, "m", clients, func() {
+		for c := 0; c < clients; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				results[c] = postJSON(t, ts, "m", probeVec(m.N, c), false)
+			}(c)
+		}
+	})
 	done := make(chan struct{})
 	go func() { s.Close(); close(done) }()
+	release()
 
 	wg.Wait() // every admitted request must have completed with a 200
 	select {
@@ -557,7 +592,7 @@ func TestPoolCheckout(t *testing.T) {
 func TestBatcherRejectsBadDimensions(t *testing.T) {
 	m := testModel(t, core.LowRank)
 	p := registry.NewPool(m, 1)
-	b := registry.NewBatcher(p, 0, 4, 1)
+	b := registry.NewBatcher(p, 4, 1)
 	defer b.Close()
 
 	ctx := context.Background()

@@ -20,22 +20,21 @@ import (
 )
 
 // Options configures a Server. The zero value is usable: NumCPU engines per
-// model, immediate flushes, registry.DefaultMaxBatch, no per-request
+// model, registry.DefaultMaxBatch, no per-request
 // timeout, no admin surface.
 type Options struct {
 	// PoolSize is the number of engines (the concurrency limit) per model;
 	// <= 0 selects runtime.NumCPU().
 	PoolSize int
-	// Window is the micro-batching coalescing window; 0 flushes immediately
-	// (still fusing whatever is already queued).
-	Window time.Duration
 	// MaxBatch bounds the columns fused into one flush (<= 0 selects
 	// registry.DefaultMaxBatch).
 	MaxBatch int
 	// Workers is the engine worker count for batched applies (0 = all CPUs);
 	// responses are bitwise identical for any value.
 	Workers int
-	// Timeout bounds each request's admission + pool wait (0 = none).
+	// Timeout bounds each request's wait for admission into the batch
+	// queue (/apply) or for an engine (/column, /fingerprint); 0 = none.
+	// An admitted apply always completes.
 	Timeout time.Duration
 	// Metrics is the live registry behind GET /metrics and the only sink of
 	// serving telemetry. When nil the endpoint is not routed and every
@@ -93,7 +92,6 @@ type Server struct {
 func New(opt Options) *Server {
 	reg := registry.New(registry.Options{
 		PoolSize: opt.PoolSize,
-		Window:   opt.Window,
 		MaxBatch: opt.MaxBatch,
 		Workers:  opt.Workers,
 		Metrics:  opt.Metrics,

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"subcouple/internal/core"
 	"subcouple/internal/serve"
@@ -22,7 +21,7 @@ import (
 func TestHotSwapBitwiseOverHTTP(t *testing.T) {
 	mA := testModel(t, core.LowRank)
 	mB := testModel(t, core.Wavelet)
-	s, ts, name := newTestServer(t, mA, serve.Options{PoolSize: 2, Window: 100 * time.Microsecond})
+	s, ts, name := newTestServer(t, mA, serve.Options{PoolSize: 2})
 
 	reg := s.Registry()
 	fpB, _, err := reg.Load(mB)
